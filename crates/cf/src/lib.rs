@@ -21,8 +21,14 @@
 //! * [`SparseMatrix`] — observed entries of the ratings/performance matrix.
 //! * [`svd`] — one-sided Jacobi SVD (no external linear-algebra crates).
 //! * [`PqModel`] — latent-factor model trained with SGD.
+//! * [`FoldIn`] — a dense history factored once (mean, row biases,
+//!   truncated SVD) so each new sparse row is folded in by a small
+//!   closed-form ridge solve; this is what Quasar's classifications run
+//!   per arrival.
 //! * [`Reconstructor`] — the end-to-end pipeline (mean-fill → SVD →
-//!   PQ-init → SGD → predict) used by Quasar's four classifications.
+//!   PQ-init → SGD → predict), kept for whole-matrix reconstruction, the
+//!   exhaustive classification, and as the accuracy oracle for
+//!   [`FoldIn`].
 //!
 //! The SVD and SGD kernels are flat-slice implementations with a strict
 //! **bit-identical-output contract** against the frozen pre-refactor
@@ -52,6 +58,7 @@
 
 mod dense;
 mod fingerprint;
+mod foldin;
 mod pq;
 mod reconstruct;
 pub mod scratch;
@@ -59,8 +66,9 @@ mod sparse;
 mod svd;
 
 pub use dense::DenseMatrix;
+pub use foldin::{FoldIn, ReconstructError};
 pub use pq::{PqModel, SgdConfig};
-pub use reconstruct::{ReconstructError, Reconstructor};
+pub use reconstruct::Reconstructor;
 pub use scratch::CfScratch;
 pub use sparse::SparseMatrix;
 pub use svd::{svd, svd_in, Svd};

@@ -285,68 +285,6 @@ impl PqModel {
         model
     }
 
-    /// Trains a model warm-started from the factors of `init` — a model
-    /// previously trained on a closely-related matrix — instead of the
-    /// SVD. `μ` and the per-row biases are recomputed from `a` (cheap,
-    /// one pass over the observed entries); the factor matrices and rank
-    /// are copied from `init`; SGD then refines everything as usual.
-    /// Skipping the Jacobi SVD of the mean-filled matrix is where the
-    /// similarity index's warm-start latency win comes from.
-    ///
-    /// Returns `None` when the shapes are incompatible: `init` must
-    /// carry one factor row per row of `a` and one per column of `a`.
-    ///
-    /// Runs against the calling thread's default workspace arena; see
-    /// [`PqModel::train_warm_in`] for the explicit-arena variant.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `a` has no observed entries.
-    pub fn train_warm(a: &SparseMatrix, config: &SgdConfig, init: &PqModel) -> Option<PqModel> {
-        scratch::with(|s| PqModel::train_warm_in(a, config, init, s))
-    }
-
-    /// [`PqModel::train_warm`] against an explicit workspace arena (same
-    /// contract as [`PqModel::train_in`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `a` has no observed entries.
-    pub fn train_warm_in(
-        a: &SparseMatrix,
-        config: &SgdConfig,
-        init: &PqModel,
-        scratch: &mut CfScratch,
-    ) -> Option<PqModel> {
-        assert!(!a.is_empty(), "cannot train on an empty matrix");
-        if init.row_factors.rows() != a.rows() || init.col_factors.rows() != a.cols() {
-            return None;
-        }
-        let (mut row_bias, mut rf_buf, mut cf_buf) = scratch.model_out.take().unwrap_or_default();
-        let mu = a.mean().expect("matrix is non-empty");
-        scratch.stats.checkout(&mut row_bias, a.rows());
-        PqModel::row_biases_into(a, mu, &mut row_bias);
-        scratch
-            .stats
-            .reserve(&mut rf_buf, init.row_factors.as_slice().len());
-        rf_buf.extend_from_slice(init.row_factors.as_slice());
-        scratch
-            .stats
-            .reserve(&mut cf_buf, init.col_factors.as_slice().len());
-        cf_buf.extend_from_slice(init.col_factors.as_slice());
-        let mut model = PqModel {
-            mu,
-            row_bias,
-            row_factors: DenseMatrix::from_vec(a.rows(), init.rank, rf_buf),
-            col_factors: DenseMatrix::from_vec(a.cols(), init.rank, cf_buf),
-            rank: init.rank,
-            epochs_run: 0,
-            final_residual: f64::INFINITY,
-        };
-        model.run_sgd_in(a, config, scratch);
-        Some(model)
-    }
-
     /// Consumes the model, returning its `(row_bias, row_factors,
     /// col_factors)` buffers for a [`CfScratch`] recycle slot.
     pub(crate) fn into_buffers(self) -> (Vec<f64>, Vec<f64>, Vec<f64>) {
@@ -721,38 +659,5 @@ mod tests {
     #[should_panic(expected = "cannot train on an empty matrix")]
     fn empty_matrix_panics() {
         PqModel::train(&SparseMatrix::new(2, 2), &SgdConfig::default());
-    }
-
-    #[test]
-    fn warm_start_fits_a_perturbed_matrix_without_svd() {
-        let (sparse, truth) = low_rank_sparse(8, 8, 2, 3);
-        let cold = PqModel::train(&sparse, &SgdConfig::default());
-
-        // The same matrix with every observation nudged by < 1%.
-        let mut nudged = SparseMatrix::new(8, 8);
-        for (r, c, v) in sparse.iter() {
-            nudged.insert(r, c, v * (1.0 + 0.004 * ((r + 2 * c) % 5) as f64));
-        }
-        let warm = PqModel::train_warm(&nudged, &SgdConfig::default(), &cold)
-            .expect("shapes match the init model");
-        assert_eq!(warm.rank(), cold.rank());
-        let mut worst: f64 = 0.0;
-        for r in 0..8 {
-            for c in 0..8 {
-                if nudged.get(r, c).is_none() {
-                    let rel = (warm.predict(r, c) - truth.get(r, c)).abs() / truth.get(r, c).abs();
-                    worst = worst.max(rel);
-                }
-            }
-        }
-        assert!(worst < 0.3, "warm-started model drifted: {worst}");
-    }
-
-    #[test]
-    fn warm_start_rejects_mismatched_shapes() {
-        let (small, _) = low_rank_sparse(5, 5, 2, 3);
-        let (large, _) = low_rank_sparse(8, 8, 2, 3);
-        let init = PqModel::train(&small, &SgdConfig::default());
-        assert!(PqModel::train_warm(&large, &SgdConfig::default(), &init).is_none());
     }
 }

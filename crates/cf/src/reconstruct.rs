@@ -1,8 +1,6 @@
 //! The end-to-end reconstruction pipeline used by Quasar's classifier.
 
 use std::collections::{HashMap, HashSet};
-use std::error::Error;
-use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 
@@ -10,6 +8,7 @@ use quasar_obs::registry::{Counter, Registry};
 
 use crate::dense::DenseMatrix;
 use crate::fingerprint::Fingerprint;
+use crate::foldin::ReconstructError;
 use crate::pq::{PqModel, SgdConfig};
 use crate::scratch::{self, CfScratch};
 use crate::sparse::SparseMatrix;
@@ -172,29 +171,6 @@ impl Drop for PendingGuard<'_> {
         self.cache.computed.notify_all();
     }
 }
-
-/// Error returned when a sparse matrix cannot be reconstructed.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ReconstructError {
-    /// The matrix has no observed entries at all.
-    Empty,
-    /// A row that must be predicted has no observations and no other row
-    /// can anchor it (matrix has a single row).
-    Unanchored,
-}
-
-impl fmt::Display for ReconstructError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ReconstructError::Empty => write!(f, "matrix has no observed entries"),
-            ReconstructError::Unanchored => {
-                write!(f, "row cannot be anchored without other observations")
-            }
-        }
-    }
-}
-
-impl Error for ReconstructError {}
 
 /// End-to-end collaborative-filtering reconstruction: mean-fill → SVD →
 /// PQ initialization → SGD → prediction, with optional clamping of the
@@ -398,74 +374,6 @@ impl Reconstructor {
         }
         drop(guard);
         row
-    }
-
-    /// [`Reconstructor::reconstruct_row`] that also returns the trained
-    /// [`PqModel`], for callers that keep models around to warm-start
-    /// later reconstructions (the similarity index in `quasar-core`).
-    ///
-    /// Deliberately **uncached**: it always trains, leaving the row memo
-    /// and its hit/miss/eviction counters untouched, so the plain
-    /// cached path behaves byte-identically whether or not anyone ever
-    /// captures models. Reconstruction is a pure function of
-    /// `(history, target, config)`, so the returned row is bit-identical
-    /// to what [`Reconstructor::reconstruct_row`] returns.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`Reconstructor::reconstruct_row`].
-    pub fn reconstruct_row_with_model(
-        &self,
-        history: &DenseMatrix,
-        target: &[(usize, f64)],
-    ) -> Result<(Vec<f64>, PqModel), ReconstructError> {
-        self.reconstruct_row_model(history, target, None)
-    }
-
-    /// Like [`Reconstructor::reconstruct_row_with_model`], but
-    /// warm-starts SGD from `warm`'s factors via [`PqModel::train_warm`],
-    /// skipping the SVD. Falls back to a cold train when the factor
-    /// shapes do not line up with `(history, target)`.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`Reconstructor::reconstruct_row`].
-    pub fn reconstruct_row_warm(
-        &self,
-        history: &DenseMatrix,
-        target: &[(usize, f64)],
-        warm: &PqModel,
-    ) -> Result<(Vec<f64>, PqModel), ReconstructError> {
-        self.reconstruct_row_model(history, target, Some(warm))
-    }
-
-    fn reconstruct_row_model(
-        &self,
-        history: &DenseMatrix,
-        target: &[(usize, f64)],
-        warm: Option<&PqModel>,
-    ) -> Result<(Vec<f64>, PqModel), ReconstructError> {
-        if target.is_empty() {
-            return Err(ReconstructError::Empty);
-        }
-        if history.rows() == 0 {
-            return Err(ReconstructError::Unanchored);
-        }
-        scratch::with(|s| {
-            let (target_row, sparse) = Self::pooled_history_matrix(history, target, s);
-            let model = match warm.and_then(|w| PqModel::train_warm_in(&sparse, &self.config, w, s))
-            {
-                Some(m) => m,
-                None => PqModel::train_in(&sparse, &self.config, s),
-            };
-            let dense = self.finish_predictions_in(&model, &sparse, s);
-            s.row_sparse = Some(sparse);
-            let row = dense.row(target_row).to_vec();
-            s.recycle_predict(dense.into_vec());
-            // The model escapes to the caller, so its buffers are not
-            // recycled here.
-            Ok((row, model))
-        })
     }
 
     /// Checks the pooled history+target matrix out of `scratch` and
@@ -758,59 +666,6 @@ mod tests {
     }
 
     #[test]
-    fn with_model_matches_cached_row_bitwise_and_skips_the_cache() {
-        let history = DenseMatrix::from_fn(6, 5, |r, c| (r as f64 + 1.5) * (c as f64 + 0.5));
-        let rec = Reconstructor::new();
-        let target = [(0usize, 1.2), (3usize, 4.8)];
-        let cached = rec.reconstruct_row(&history, &target).unwrap();
-        let (modeled, model) = rec.reconstruct_row_with_model(&history, &target).unwrap();
-        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
-        assert_eq!(bits(&cached), bits(&modeled));
-        assert!(model.rank() >= 1);
-        // The model-capturing path must not have touched the memo: one
-        // cached call = 1 miss, and the uncached call adds nothing.
-        assert_eq!(rec.row_cache_stats(), (0, 1));
-    }
-
-    #[test]
-    fn warm_reconstruction_stays_close_to_cold() {
-        // Rows proportional to [1, 2, 3, 4], as in
-        // `reconstruct_row_predicts_from_history` (SGD converges here).
-        let history = DenseMatrix::from_fn(5, 4, |r, c| (r as f64 + 1.0) * (c as f64 + 1.0));
-        let rec = Reconstructor::new();
-        let (cold_row, model) = rec
-            .reconstruct_row_with_model(&history, &[(0, 2.5), (2, 7.5)])
-            .unwrap();
-        // A near-duplicate target warm-started from the neighbor's model.
-        let (warm_row, warm_model) = rec
-            .reconstruct_row_warm(&history, &[(0, 2.52), (2, 7.48)], &model)
-            .unwrap();
-        assert_eq!(warm_model.rank(), model.rank());
-        for (w, c) in warm_row.iter().zip(&cold_row) {
-            assert!(
-                (w - c).abs() / c.abs().max(1e-9) < 0.15,
-                "warm row drifted: {w} vs {c}"
-            );
-        }
-    }
-
-    #[test]
-    fn warm_reconstruction_falls_back_on_shape_mismatch() {
-        let history = DenseMatrix::from_fn(6, 5, |r, c| (r as f64 + 1.5) * (c as f64 + 0.5));
-        let other = DenseMatrix::from_fn(3, 4, |r, c| (r + c) as f64 + 1.0);
-        let rec = Reconstructor::new();
-        let (_, wrong_shape) = rec.reconstruct_row_with_model(&other, &[(0, 1.0)]).unwrap();
-        let (cold_row, _) = rec
-            .reconstruct_row_with_model(&history, &[(0, 1.2)])
-            .unwrap();
-        let (fallback_row, _) = rec
-            .reconstruct_row_warm(&history, &[(0, 1.2)], &wrong_shape)
-            .unwrap();
-        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
-        assert_eq!(bits(&cold_row), bits(&fallback_row));
-    }
-
-    #[test]
     fn steady_state_row_reconstruction_stops_growing_the_arena() {
         // Distinct targets bust the row memo, so every call reaches the
         // training kernels; after a short warmup at a fixed shape the
@@ -836,11 +691,5 @@ mod tests {
         assert_eq!(grows, grows_warm, "steady state must not grow the arena");
         assert_eq!(bytes, bytes_warm, "held bytes are flat in steady state");
         assert!(reuses > 0);
-    }
-
-    #[test]
-    fn error_display_is_nonempty() {
-        assert!(!ReconstructError::Empty.to_string().is_empty());
-        assert!(!ReconstructError::Unanchored.to_string().is_empty());
     }
 }

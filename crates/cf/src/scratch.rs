@@ -117,8 +117,8 @@ impl ScratchStats {
 
 /// A reusable, grow-only workspace arena for the CF kernels.
 ///
-/// Thread one through [`crate::svd_in`], [`PqModel::train_in`],
-/// [`PqModel::train_warm_in`] and the [`crate::Reconstructor`] internals
+/// Thread one through [`crate::svd_in`], [`PqModel::train_in`] and the
+/// [`crate::Reconstructor`] internals
 /// to make their steady state allocation-free; or just call the plain
 /// public entry points, which borrow the calling thread's default arena
 /// via [`with`]. See the module docs for the lifetime rules.

@@ -5,7 +5,8 @@ use proptest::prelude::*;
 use quasar_cf::kernel::{rotate_cols, rotate_cols_scalar};
 use quasar_cf::reference::{svd_reference, train_reference};
 use quasar_cf::{
-    svd, svd_in, CfScratch, DenseMatrix, PqModel, Reconstructor, SgdConfig, SparseMatrix,
+    svd, svd_in, CfScratch, DenseMatrix, FoldIn, PqModel, ReconstructError, Reconstructor,
+    SgdConfig, SparseMatrix,
 };
 
 fn bits(v: &[f64]) -> Vec<u64> {
@@ -316,5 +317,112 @@ proptest! {
         }
         prop_assert_eq!(a.len(), unique.len());
         prop_assert!((a.density() - unique.len() as f64 / 25.0).abs() < 1e-12);
+    }
+}
+
+/// Maps raw `(column seed, value)` pairs onto distinct columns of a
+/// `cols`-wide row (later duplicates of a column are dropped).
+fn distinct_target(cols: usize, raw: &[(usize, f64)]) -> Vec<(usize, f64)> {
+    let mut seen = std::collections::BTreeSet::new();
+    raw.iter()
+        .map(|&(c, v)| (c % cols, v))
+        .filter(|&(c, _)| seen.insert(c))
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Folding in any finite sparse row yields a finite row inside the
+    /// clamp range (history and target range widened by 25% per side),
+    /// with every observed cell returned bit for bit.
+    #[test]
+    fn fold_in_output_is_finite_clamped_and_keeps_observations(
+        h in dense_matrix(8),
+        raw in proptest::collection::vec((0usize..64, -40.0..40.0f64), 1..6),
+    ) {
+        let model = FoldIn::fit(&h).unwrap();
+        let target = distinct_target(h.cols(), &raw);
+        let row = model.reconstruct_row(&target).unwrap();
+        prop_assert_eq!(row.len(), h.cols());
+        let values = h.as_slice().iter().copied().chain(target.iter().map(|&(_, v)| v));
+        let (lo, hi) = values.fold((f64::INFINITY, f64::NEG_INFINITY), |(l, u), v| (l.min(v), u.max(v)));
+        let span = (hi - lo).max(1e-12);
+        for v in &row {
+            prop_assert!(v.is_finite());
+            prop_assert!(*v >= lo - 0.25 * span && *v <= hi + 0.25 * span, "{v} outside [{lo}, {hi}]");
+        }
+        for &(c, v) in &target {
+            prop_assert_eq!(row[c].to_bits(), v.to_bits());
+        }
+    }
+
+    /// Bad targets are errors, never panics or NaN: a column past the
+    /// model's width, or any non-finite value anywhere in the target.
+    #[test]
+    fn fold_in_rejects_bad_targets(
+        h in dense_matrix(6),
+        raw in proptest::collection::vec((0usize..64, -40.0..40.0f64), 1..4),
+        past in 0usize..10,
+        bad_at in 0usize..4,
+        which in 0usize..3,
+    ) {
+        let model = FoldIn::fit(&h).unwrap();
+        let cols = h.cols();
+        let mut target = distinct_target(cols, &raw);
+        prop_assert_eq!(model.reconstruct_row(&[]), Err(ReconstructError::Empty));
+
+        let mut wide = target.clone();
+        wide.push((cols + past, 1.0));
+        prop_assert_eq!(
+            model.reconstruct_row(&wide),
+            Err(ReconstructError::ColumnOutOfRange { col: cols + past, cols })
+        );
+
+        let bad = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY][which];
+        let at = bad_at % target.len();
+        target[at].1 = bad;
+        prop_assert_eq!(model.reconstruct_row(&target), Err(ReconstructError::NonFinite));
+    }
+
+    /// A constant history has an all-zero spectrum: it fits at rank 1
+    /// and still folds rows in to finite values.
+    #[test]
+    fn fold_in_on_a_constant_history_is_rank_one_and_finite(
+        rows in 1usize..8,
+        cols in 1usize..8,
+        level in -5.0..5.0f64,
+        raw in proptest::collection::vec((0usize..64, -10.0..10.0f64), 1..4),
+    ) {
+        let h = DenseMatrix::from_fn(rows, cols, |_, _| level);
+        let model = FoldIn::fit(&h).unwrap();
+        prop_assert_eq!(model.rank(), 1);
+        let row = model.reconstruct_row(&distinct_target(cols, &raw)).unwrap();
+        prop_assert!(row.iter().all(|v| v.is_finite()));
+    }
+
+    /// Folding in a history row with every column observed reproduces
+    /// that row to 1e-6 of its range. The history is a row bias plus a
+    /// rank-1 interaction, so its residual has rank 1 and the default
+    /// truncation keeps it at full rank.
+    #[test]
+    fn fold_in_reproduces_fully_observed_history_rows(
+        rows in 2usize..8,
+        cols in 2usize..8,
+        bias in proptest::collection::vec(-5.0..5.0f64, 8),
+        scale in proptest::collection::vec(0.5..2.0f64, 8),
+        profile in proptest::collection::vec(-3.0..3.0f64, 8),
+        pick in 0usize..8,
+    ) {
+        let h = DenseMatrix::from_fn(rows, cols, |r, c| bias[r] + scale[r] * profile[c]);
+        let model = FoldIn::fit(&h).unwrap();
+        prop_assert_eq!(model.rank(), 1);
+        let r = pick % h.rows();
+        let target: Vec<(usize, f64)> = h.row(r).iter().copied().enumerate().collect();
+        let row = model.reconstruct_row(&target).unwrap();
+        let (lo, hi) = h.row(r).iter().fold((f64::INFINITY, f64::NEG_INFINITY), |(l, u), &v| (l.min(v), u.max(v)));
+        for (p, t) in row.iter().zip(h.row(r)) {
+            prop_assert!((p - t).abs() <= 1e-6 * (hi - lo), "{p} vs {t}");
+        }
     }
 }

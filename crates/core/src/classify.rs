@@ -1,19 +1,22 @@
 //! The four parallel classifications (and the exhaustive alternative).
 //!
-//! Each classification appends the workload's sparse profiling row to the
-//! dense offline history of its goal kind and reconstructs the missing
-//! entries with SVD + PQ/SGD (paper §3.2). Speed axes are reconstructed in
-//! log space; interference axes in linear pressure space.
+//! Each classification folds the workload's sparse profiling row into the
+//! dense offline history of its goal kind (paper §3.2): the history is
+//! factored once per axis at bootstrap ([`quasar_cf::FoldIn`]), and each
+//! arrival's missing entries come from a closed-form ridge solve over its
+//! observed columns. Speed axes live in log space; interference axes in
+//! pressure space scaled to [0, 1]. The exhaustive alternative keeps the
+//! per-decision SVD + PQ/SGD reconstruction.
 
 use std::sync::OnceLock;
 
-use quasar_cf::{DenseMatrix, PqModel, Reconstructor};
+use quasar_cf::{DenseMatrix, FoldIn, Reconstructor};
 use quasar_interference::PressureVector;
 use quasar_obs::registry::{Counter, Histogram, Registry};
 use quasar_obs::span::timed;
 
 use crate::axes::{Axes, GoalKind};
-use crate::history::{ln_speed, HistorySet, KindHistory};
+use crate::history::{ln_speed, HistorySet, KindModels};
 use crate::profile::ProfilingData;
 
 /// Registry handles for the classification metrics
@@ -85,71 +88,31 @@ enum AxisOut {
     Pressure(PressureVector, PressureVector),
 }
 
-/// The per-axis latent-factor models behind one [`Classification`],
-/// captured so the similarity index can warm-start SGD for a later,
-/// similar arrival ([`Classifier::classify_warm`]) instead of paying
-/// the SVD initialization again.
-///
-/// Axes that were not reconstructed carry `None`: scale-out/params when
-/// the workload lacks them, and the interference axes when profiling
-/// produced no pressure observations (those fall back to a uniform
-/// estimate without training anything).
-#[derive(Debug, Clone)]
-pub struct AxisModels {
-    /// Scale-up axis model.
-    pub scale_up: PqModel,
-    /// Heterogeneity axis model.
-    pub hetero: PqModel,
-    /// Scale-out axis model.
-    pub scale_out: Option<PqModel>,
-    /// Framework-parameter axis model.
-    pub params: Option<PqModel>,
-    /// Tolerated-pressure axis model.
-    pub tolerated: Option<PqModel>,
-    /// Caused-pressure axis model.
-    pub caused: Option<PqModel>,
-}
-
-/// A pressure estimate plus the model that produced it (when trained).
-type PressureOutM = (PressureVector, Option<PqModel>);
-
-/// The model-capturing variant of [`AxisOut`].
-enum AxisOutM {
-    ScaleUp(Vec<f64>, PqModel),
-    Hetero(Vec<f64>, PqModel),
-    ScaleOut(Option<(Vec<f64>, PqModel)>),
-    Params(Option<(Vec<f64>, PqModel)>),
-    Pressure(Box<(PressureOutM, PressureOutM)>),
-}
-
-/// Runs the four parallel classifications.
+/// Runs the four parallel classifications by folding the profiling row
+/// into each axis's [`FoldIn`] model, fitted once per goal kind when the
+/// history is bootstrapped.
 #[derive(Debug, Clone)]
 pub struct Classifier {
-    reconstructor: Reconstructor,
     threads: usize,
 }
 
 impl Default for Classifier {
     fn default() -> Classifier {
-        Classifier {
-            reconstructor: Reconstructor::default(),
-            threads: 1,
-        }
+        Classifier { threads: 1 }
     }
 }
 
 impl Classifier {
-    /// A classifier with default SGD hyper-parameters, running its axis
-    /// classifications serially.
+    /// A classifier running its axis classifications serially.
     pub fn new() -> Classifier {
         Classifier::default()
     }
 
     /// Fans the per-axis classifications out over up to `threads` OS
     /// threads (paper §3.2 runs the four classifications concurrently).
-    /// Every axis is a pure function of `(history, data)`, so the
-    /// result is bit-identical to serial execution; only the wall-clock
-    /// time changes. `threads <= 1` keeps the serial path.
+    /// Every axis is a pure function of `(model, data)`, so the result
+    /// is bit-identical to serial execution; only the wall-clock time
+    /// changes. `threads <= 1` keeps the serial path.
     pub fn with_threads(mut self, threads: usize) -> Classifier {
         self.threads = threads.max(1);
         self
@@ -169,7 +132,7 @@ impl Classifier {
     /// [`Classifier::classify`] plus the wall-clock decision time of the
     /// *parallel* scheme: the four classifications run concurrently
     /// (paper §3.2), so the decision latency is the maximum over the
-    /// per-axis reconstruction times, returned in microseconds.
+    /// per-axis fold-in times, returned in microseconds.
     ///
     /// The reported decision time is always the max over per-axis times
     /// (the parallel scheme's latency model), independent of whether
@@ -180,7 +143,7 @@ impl Classifier {
         data: &ProfilingData,
     ) -> (Classification, f64) {
         let kind = data.kind;
-        let k: &KindHistory = history.kind(kind);
+        let m: &KindModels = &history.kind(kind).models;
         let _decision_span = quasar_obs::span!("core.classify.decision");
 
         // Each axis runs under a `timed` span: the span carries the
@@ -191,38 +154,38 @@ impl Classifier {
         let tasks: Vec<AxisTask<'_>> = vec![
             Box::new(move || {
                 timed("core.classify.scale_up", || {
-                    AxisOut::ScaleUp(self.speed_axis(kind, &k.scale_up, &data.scale_up))
+                    AxisOut::ScaleUp(speed_axis(kind, &m.scale_up, &data.scale_up))
                 })
             }),
             Box::new(move || {
                 timed("core.classify.hetero", || {
-                    AxisOut::Hetero(self.speed_axis(kind, &k.hetero, &data.hetero))
+                    AxisOut::Hetero(speed_axis(kind, &m.hetero, &data.hetero))
                 })
             }),
             Box::new(move || {
                 timed("core.classify.scale_out", || {
                     AxisOut::ScaleOut(
-                        k.scale_out
+                        m.scale_out
                             .as_ref()
                             .filter(|_| !data.scale_out.is_empty())
-                            .map(|m| self.speed_axis(kind, m, &data.scale_out)),
+                            .map(|model| speed_axis(kind, model, &data.scale_out)),
                     )
                 })
             }),
             Box::new(move || {
                 timed("core.classify.params", || {
                     AxisOut::Params(
-                        k.params
+                        m.params
                             .as_ref()
                             .filter(|_| !data.params.is_empty())
-                            .map(|m| self.speed_axis(kind, m, &data.params)),
+                            .map(|model| speed_axis(kind, model, &data.params)),
                     )
                 })
             }),
             Box::new(move || {
                 timed("core.classify.interference", || {
-                    let tolerated = self.pressure_axis(&k.tolerated, &data.tolerated);
-                    let caused = self.pressure_axis(&k.caused, &data.caused);
+                    let tolerated = pressure_axis(&m.tolerated, &data.tolerated);
+                    let caused = pressure_axis(&m.caused, &data.caused);
                     AxisOut::Pressure(tolerated, caused)
                 })
             }),
@@ -270,289 +233,45 @@ impl Classifier {
             wall_us,
         )
     }
+}
 
-    /// [`Classifier::classify_timed`] that also captures the trained
-    /// per-axis models, so the caller (the similarity index) can store
-    /// them for later warm starts.
-    ///
-    /// The reconstructions bypass the row cache (models must actually be
-    /// trained to be captured), but reconstruction is a pure function of
-    /// its inputs, so the returned [`Classification`] is **bit-identical**
-    /// to [`Classifier::classify`] on the same `(history, data)` — only
-    /// the wall-clock time can differ.
-    pub fn classify_with_models(
-        &self,
-        history: &HistorySet,
-        data: &ProfilingData,
-    ) -> (Classification, f64, AxisModels) {
-        self.classify_models_inner(history, data, None)
+/// Classifies one speed axis: goal-value observations → ln-speed row →
+/// fold-in against the axis model → linear speeds.
+fn speed_axis(kind: GoalKind, model: &FoldIn, observed: &[(usize, f64)]) -> Vec<f64> {
+    let target: Vec<(usize, f64)> = observed
+        .iter()
+        .map(|&(c, v)| (c, ln_speed(kind, v)))
+        .collect();
+    let row = model
+        .reconstruct_row(&target)
+        .expect("profiling columns lie on the axis and values are finite");
+    row.into_iter().map(f64::exp).collect()
+}
+
+/// Classifies one interference axis. Pressure values live on a 0–100
+/// scale; the axis model was fitted on the history scaled to [0, 1]
+/// ([`crate::history::KindModels`]), so observations are scaled down on
+/// the way in and predictions back up on the way out. With no
+/// observations the estimate falls back to mid-scale everywhere.
+pub(crate) fn pressure_axis(model: &FoldIn, observed: &[(usize, f64)]) -> PressureVector {
+    if observed.is_empty() {
+        return PressureVector::uniform(PressureVector::MAX / 2.0);
     }
-
-    /// Classifies with every axis's SGD warm-started from a similar
-    /// neighbor's captured models (skipping the SVD initialization), and
-    /// captures the newly trained models in turn. Axes whose neighbor
-    /// model is absent or shape-incompatible fall back to a cold train.
-    pub fn classify_warm(
-        &self,
-        history: &HistorySet,
-        data: &ProfilingData,
-        warm: &AxisModels,
-    ) -> (Classification, f64, AxisModels) {
-        self.classify_models_inner(history, data, Some(warm))
+    let scaled: Vec<(usize, f64)> = observed
+        .iter()
+        .map(|&(c, v)| (c, v / PressureVector::MAX))
+        .collect();
+    let row = model
+        .reconstruct_row(&scaled)
+        .expect("probed resources lie on the axis and values are finite");
+    let mut v = PressureVector::zero();
+    for (i, value) in row.into_iter().enumerate() {
+        v.set(
+            quasar_interference::SharedResource::from_index(i),
+            value * PressureVector::MAX,
+        );
     }
-
-    /// Shared driver for the model-capturing paths: the same five-task
-    /// fan-out, latency model, and metrics as [`Classifier::classify_timed`].
-    fn classify_models_inner(
-        &self,
-        history: &HistorySet,
-        data: &ProfilingData,
-        warm: Option<&AxisModels>,
-    ) -> (Classification, f64, AxisModels) {
-        let kind = data.kind;
-        let k: &KindHistory = history.kind(kind);
-        let _decision_span = quasar_obs::span!("core.classify.decision");
-
-        type AxisTask<'a> = Box<dyn FnOnce() -> (AxisOutM, f64) + Send + 'a>;
-        let tasks: Vec<AxisTask<'_>> = vec![
-            Box::new(move || {
-                timed("core.classify.scale_up", || {
-                    let (v, m) = self.speed_axis_model(
-                        kind,
-                        &k.scale_up,
-                        &data.scale_up,
-                        warm.map(|w| &w.scale_up),
-                    );
-                    AxisOutM::ScaleUp(v, m)
-                })
-            }),
-            Box::new(move || {
-                timed("core.classify.hetero", || {
-                    let (v, m) = self.speed_axis_model(
-                        kind,
-                        &k.hetero,
-                        &data.hetero,
-                        warm.map(|w| &w.hetero),
-                    );
-                    AxisOutM::Hetero(v, m)
-                })
-            }),
-            Box::new(move || {
-                timed("core.classify.scale_out", || {
-                    AxisOutM::ScaleOut(
-                        k.scale_out
-                            .as_ref()
-                            .filter(|_| !data.scale_out.is_empty())
-                            .map(|m| {
-                                self.speed_axis_model(
-                                    kind,
-                                    m,
-                                    &data.scale_out,
-                                    warm.and_then(|w| w.scale_out.as_ref()),
-                                )
-                            }),
-                    )
-                })
-            }),
-            Box::new(move || {
-                timed("core.classify.params", || {
-                    AxisOutM::Params(k.params.as_ref().filter(|_| !data.params.is_empty()).map(
-                        |m| {
-                            self.speed_axis_model(
-                                kind,
-                                m,
-                                &data.params,
-                                warm.and_then(|w| w.params.as_ref()),
-                            )
-                        },
-                    ))
-                })
-            }),
-            Box::new(move || {
-                timed("core.classify.interference", || {
-                    let tolerated = self.pressure_axis_model(
-                        &k.tolerated,
-                        &data.tolerated,
-                        warm.and_then(|w| w.tolerated.as_ref()),
-                    );
-                    let caused = self.pressure_axis_model(
-                        &k.caused,
-                        &data.caused,
-                        warm.and_then(|w| w.caused.as_ref()),
-                    );
-                    AxisOutM::Pressure(Box::new((tolerated, caused)))
-                })
-            }),
-        ];
-
-        let results = crate::par::par_invoke(self.threads, tasks);
-        let wall_us = results.iter().map(|(_, us)| *us).fold(0.0, f64::max);
-        let metrics = classify_metrics();
-        metrics.classifications.inc();
-        for (_, us) in &results {
-            metrics.axis_us.record(*us);
-        }
-        metrics.decision_us.record(wall_us);
-
-        let mut scale_up = None;
-        let mut hetero = None;
-        let mut scale_out = None;
-        let mut params = None;
-        let mut pressure = None;
-        for (out, _) in results {
-            match out {
-                AxisOutM::ScaleUp(v, m) => scale_up = Some((v, m)),
-                AxisOutM::Hetero(v, m) => hetero = Some((v, m)),
-                AxisOutM::ScaleOut(v) => scale_out = v,
-                AxisOutM::Params(v) => params = v,
-                AxisOutM::Pressure(tc) => pressure = Some(*tc),
-            }
-        }
-        let (scale_up_speed, scale_up_model) = scale_up.expect("scale-up task ran");
-        let (hetero_speed, hetero_model) = hetero.expect("hetero task ran");
-        let (scale_out_speed, scale_out_model) = match scale_out {
-            Some((v, m)) => (Some(v), Some(m)),
-            None => (None, None),
-        };
-        let (params_speed, params_model) = match params {
-            Some((v, m)) => (Some(v), Some(m)),
-            None => (None, None),
-        };
-        let ((tolerated, tolerated_model), (caused, caused_model)) =
-            pressure.expect("interference task ran");
-
-        (
-            Classification {
-                kind,
-                scale_up_speed,
-                scale_out_speed,
-                hetero_speed,
-                params_speed,
-                tolerated,
-                caused,
-                runtime_calibration: 1.0,
-            },
-            wall_us,
-            AxisModels {
-                scale_up: scale_up_model,
-                hetero: hetero_model,
-                scale_out: scale_out_model,
-                params: params_model,
-                tolerated: tolerated_model,
-                caused: caused_model,
-            },
-        )
-    }
-
-    /// Reconstructs one speed axis: goal-value observations → ln-speed
-    /// row → CF against history → linear speeds.
-    fn speed_axis(
-        &self,
-        kind: GoalKind,
-        history: &DenseMatrix,
-        observed: &[(usize, f64)],
-    ) -> Vec<f64> {
-        let target: Vec<(usize, f64)> = observed
-            .iter()
-            .map(|&(c, v)| (c, ln_speed(kind, v)))
-            .collect();
-        let row = self
-            .reconstructor
-            .reconstruct_row(history, &target)
-            .expect("history is dense and target non-empty");
-        row.into_iter().map(f64::exp).collect()
-    }
-
-    /// Reconstructs one interference axis. Pressure values live on a
-    /// 0–100 scale; they are normalized into [0, 1] for the SGD pass
-    /// (whose learning rate is tuned for unit-scale data) and scaled back.
-    fn pressure_axis(&self, history: &DenseMatrix, observed: &[(usize, f64)]) -> PressureVector {
-        if observed.is_empty() {
-            return PressureVector::uniform(PressureVector::MAX / 2.0);
-        }
-        let scaled_history = DenseMatrix::from_fn(history.rows(), history.cols(), |r, c| {
-            history.get(r, c) / PressureVector::MAX
-        });
-        let scaled_observed: Vec<(usize, f64)> = observed
-            .iter()
-            .map(|&(c, v)| (c, v / PressureVector::MAX))
-            .collect();
-        let row = self
-            .reconstructor
-            .reconstruct_row(&scaled_history, &scaled_observed)
-            .expect("history is dense and target non-empty");
-        let mut v = PressureVector::zero();
-        for (i, value) in row.into_iter().enumerate() {
-            v.set(
-                quasar_interference::SharedResource::from_index(i),
-                value * PressureVector::MAX,
-            );
-        }
-        v
-    }
-
-    /// [`Classifier::speed_axis`] that trains uncached and returns the
-    /// model, optionally warm-starting from a neighbor's. The float
-    /// pipeline is identical, so the speeds match the cached path
-    /// bit-for-bit on a cold train.
-    fn speed_axis_model(
-        &self,
-        kind: GoalKind,
-        history: &DenseMatrix,
-        observed: &[(usize, f64)],
-        warm: Option<&PqModel>,
-    ) -> (Vec<f64>, PqModel) {
-        let target: Vec<(usize, f64)> = observed
-            .iter()
-            .map(|&(c, v)| (c, ln_speed(kind, v)))
-            .collect();
-        let (row, model) = match warm {
-            Some(w) => self.reconstructor.reconstruct_row_warm(history, &target, w),
-            None => self
-                .reconstructor
-                .reconstruct_row_with_model(history, &target),
-        }
-        .expect("history is dense and target non-empty");
-        (row.into_iter().map(f64::exp).collect(), model)
-    }
-
-    /// [`Classifier::pressure_axis`] that trains uncached and returns
-    /// the model (`None` on the no-observations uniform fallback).
-    fn pressure_axis_model(
-        &self,
-        history: &DenseMatrix,
-        observed: &[(usize, f64)],
-        warm: Option<&PqModel>,
-    ) -> (PressureVector, Option<PqModel>) {
-        if observed.is_empty() {
-            return (PressureVector::uniform(PressureVector::MAX / 2.0), None);
-        }
-        let scaled_history = DenseMatrix::from_fn(history.rows(), history.cols(), |r, c| {
-            history.get(r, c) / PressureVector::MAX
-        });
-        let scaled_observed: Vec<(usize, f64)> = observed
-            .iter()
-            .map(|&(c, v)| (c, v / PressureVector::MAX))
-            .collect();
-        let (row, model) = match warm {
-            Some(w) => {
-                self.reconstructor
-                    .reconstruct_row_warm(&scaled_history, &scaled_observed, w)
-            }
-            None => self
-                .reconstructor
-                .reconstruct_row_with_model(&scaled_history, &scaled_observed),
-        }
-        .expect("history is dense and target non-empty");
-        let mut v = PressureVector::zero();
-        for (i, value) in row.into_iter().enumerate() {
-            v.set(
-                quasar_interference::SharedResource::from_index(i),
-                value * PressureVector::MAX,
-            );
-        }
-        (v, Some(model))
-    }
+    v
 }
 
 /// The single exhaustive classification the paper compares against
@@ -738,98 +457,6 @@ mod tests {
             assert_eq!(bits(&serial.scale_up_speed), bits(&parallel.scale_up_speed));
             assert_eq!(bits(&serial.hetero_speed), bits(&parallel.hetero_speed));
         }
-    }
-
-    /// Adoption smoke for the CF scratch arenas: classification drives
-    /// `reconstruct_row` hard enough that buffer checkouts must be
-    /// served from pooled capacity, visible as the global
-    /// `quasar.cf.scratch.reuses` counter advancing.
-    #[test]
-    fn classification_reuses_cf_scratch_arenas() {
-        let catalog = PlatformCatalog::local();
-        let history = HistorySet::bootstrap(&catalog, 8, 41);
-        let axes = history.axes().clone();
-
-        let mut sim = Simulation::new(
-            ClusterSpec::uniform(catalog.clone(), 1),
-            Box::new(NullManager),
-            SimConfig::default(),
-        );
-        let mut generator = Generator::new(catalog.clone(), 7);
-        let job = generator.analytics_job(
-            WorkloadClass::Hadoop,
-            "scratch-probe",
-            Dataset::new("d", 12.0, 1.0),
-            2,
-            600.0,
-            Priority::Guaranteed,
-        );
-        let id = job.id();
-        sim.submit_at(job, 0.0);
-        sim.run_until(5.0);
-        let data = Profiler::new(2, 9).profile(sim.world_mut(), &axes, id);
-
-        let reuses = Registry::global().counter("quasar.cf.scratch.reuses");
-        let before = reuses.get();
-        // Two serial classifications: the axis reconstructions within
-        // each one (and the second run entirely) hit warmed arenas.
-        let classifier = Classifier::new().with_threads(1);
-        classifier.classify(&history, &data);
-        classifier.classify(&history, &data);
-        assert!(
-            reuses.get() > before,
-            "classification must reuse pooled scratch buffers"
-        );
-    }
-
-    /// `classify_with_models` (the similarity index's miss path) must be
-    /// bit-identical to the plain cached path — this is what makes
-    /// "index enabled, no hits" byte-identical to "index disabled".
-    #[test]
-    fn model_capturing_classification_is_bit_identical_to_plain() {
-        let catalog = PlatformCatalog::local();
-        let history = HistorySet::bootstrap(&catalog, 8, 41);
-        let axes = history.axes().clone();
-
-        let mut sim = Simulation::new(
-            ClusterSpec::uniform(catalog.clone(), 1),
-            Box::new(NullManager),
-            SimConfig::default(),
-        );
-        let mut generator = Generator::new(catalog.clone(), 7);
-        let job = generator.analytics_job(
-            WorkloadClass::Hadoop,
-            "model-probe",
-            Dataset::new("d", 12.0, 1.0),
-            2,
-            600.0,
-            Priority::Guaranteed,
-        );
-        let id = job.id();
-        sim.submit_at(job, 0.0);
-        sim.run_until(5.0);
-        let data = Profiler::new(2, 9).profile(sim.world_mut(), &axes, id);
-
-        let classifier = Classifier::new();
-        let plain = classifier.classify(&history, &data);
-        let (modeled, _, models) = classifier.classify_with_models(&history, &data);
-        assert_eq!(plain, modeled);
-        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
-        assert_eq!(bits(&plain.scale_up_speed), bits(&modeled.scale_up_speed));
-        assert_eq!(bits(&plain.hetero_speed), bits(&modeled.hetero_speed));
-        // A Hadoop job reconstructs every axis, so every model is there.
-        assert!(models.scale_out.is_some());
-        assert!(models.params.is_some());
-        assert!(models.tolerated.is_some());
-
-        // Warm-starting from the captured models on the same data stays
-        // a valid classification (finite, positive speeds).
-        let (warm, _, _) = classifier.classify_warm(&history, &data, &models);
-        assert_eq!(warm.kind, plain.kind);
-        assert!(warm
-            .scale_up_speed
-            .iter()
-            .all(|s| s.is_finite() && *s > 0.0));
     }
 
     #[test]

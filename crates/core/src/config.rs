@@ -1,7 +1,5 @@
 //! Quasar manager configuration.
 
-use crate::similarity::SimilarityConfig;
-
 /// Tunables of the Quasar manager; defaults follow the paper.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QuasarConfig {
@@ -48,11 +46,6 @@ pub struct QuasarConfig {
     /// function of its inputs, so any value produces bit-identical
     /// results; 1 (the default) keeps the serial path.
     pub threads: usize,
-    /// The workload-similarity index ([`crate::similarity`]): when
-    /// enabled, repeat arrivals skip or warm-start reconstruction.
-    /// Disabled by default — the manager then behaves bit-identically
-    /// to a build without the index.
-    pub similarity: SimilarityConfig,
 }
 
 impl Default for QuasarConfig {
@@ -74,7 +67,6 @@ impl Default for QuasarConfig {
             prediction_lead_s: 120.0,
             seed: 0x9A5A,
             threads: 1,
-            similarity: SimilarityConfig::default(),
         }
     }
 }

@@ -10,10 +10,11 @@
 
 use std::collections::HashMap;
 
-use quasar_cf::DenseMatrix;
+use quasar_cf::{DenseMatrix, FoldIn};
 use quasar_cluster::{
     managers::NullManager, ClusterSpec, ProfileConfig, SimConfig, Simulation, World,
 };
+use quasar_interference::PressureVector;
 use quasar_workloads::generate::Generator;
 use quasar_workloads::{
     Dataset, LoadPattern, PlatformCatalog, Priority, WorkloadClass, WorkloadId,
@@ -38,6 +39,63 @@ pub struct KindHistory {
     pub caused: DenseMatrix,
     /// ln-speed per framework-parameter column (framework kinds only).
     pub params: Option<DenseMatrix>,
+    /// One fold-in model per axis, fitted once from the matrices above.
+    pub models: KindModels,
+}
+
+/// The per-axis [`FoldIn`] models of one goal kind: each history matrix
+/// factored once at bootstrap, so classifying an arrival is a
+/// closed-form fold-in per axis instead of a fresh SVD + SGD run.
+///
+/// The interference models are fitted on the pressure history scaled to
+/// [0, 1] (divided by [`PressureVector::MAX`]); callers scale
+/// observations the same way.
+#[derive(Debug, Clone)]
+pub struct KindModels {
+    /// Scale-up axis model (ln-speed).
+    pub scale_up: FoldIn,
+    /// Scale-out axis model (ln-speed; absent for single-node kinds).
+    pub scale_out: Option<FoldIn>,
+    /// Heterogeneity axis model (ln-speed).
+    pub hetero: FoldIn,
+    /// Tolerated-pressure model (unit-scaled pressure).
+    pub tolerated: FoldIn,
+    /// Caused-pressure model (unit-scaled pressure).
+    pub caused: FoldIn,
+    /// Framework-parameter axis model (ln-speed; framework kinds only).
+    pub params: Option<FoldIn>,
+}
+
+impl KindModels {
+    /// Fits every axis of one kind's history.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a history matrix holds a non-finite value (bootstrap
+    /// profiling guards zeros before taking logs, so it never does).
+    fn fit(
+        scale_up: &DenseMatrix,
+        scale_out: Option<&DenseMatrix>,
+        hetero: &DenseMatrix,
+        tolerated: &DenseMatrix,
+        caused: &DenseMatrix,
+        params: Option<&DenseMatrix>,
+    ) -> KindModels {
+        let fit = |m: &DenseMatrix| FoldIn::fit(m).expect("history matrices are finite");
+        let fit_unit = |m: &DenseMatrix| {
+            let scaled =
+                DenseMatrix::from_fn(m.rows(), m.cols(), |r, c| m.get(r, c) / PressureVector::MAX);
+            fit(&scaled)
+        };
+        KindModels {
+            scale_up: fit(scale_up),
+            scale_out: scale_out.map(fit),
+            hetero: fit(hetero),
+            tolerated: fit_unit(tolerated),
+            caused: fit_unit(caused),
+            params: params.map(fit),
+        }
+    }
 }
 
 /// The full offline history: one [`KindHistory`] per goal kind, sharing
@@ -52,6 +110,8 @@ impl HistorySet {
     /// Runs the offline profiling campaign: generates `train_per_kind`
     /// training workloads per goal kind and profiles each across every
     /// column of every axis against a scratch simulation of the catalog.
+    /// Then fits one fold-in model per (kind, axis) ([`KindModels`]),
+    /// which every later classification reuses.
     ///
     /// # Panics
     ///
@@ -200,6 +260,14 @@ fn profile_kind(
         }
     }
 
+    let models = KindModels::fit(
+        &scale_up,
+        scale_out.as_ref(),
+        &hetero,
+        &tolerated,
+        &caused,
+        params.as_ref(),
+    );
     KindHistory {
         scale_up,
         scale_out,
@@ -207,6 +275,7 @@ fn profile_kind(
         tolerated,
         caused,
         params,
+        models,
     }
 }
 

@@ -53,11 +53,10 @@ pub mod par;
 pub mod predict;
 pub mod profile;
 pub mod sharded;
-pub mod similarity;
 pub mod straggler;
 
 pub use axes::{Axes, GoalKind};
-pub use classify::{AxisModels, Classification, Classifier, ExhaustiveClassifier};
+pub use classify::{Classification, Classifier, ExhaustiveClassifier};
 pub use config::QuasarConfig;
 pub use estimate::Estimator;
 pub use greedy::GreedyScheduler;
@@ -65,4 +64,3 @@ pub use history::HistorySet;
 pub use manager::{ManagerSnapshot, ManagerStats, QuasarManager};
 pub use profile::{Profiler, ProfilingData};
 pub use sharded::{run_sharded, BatchAdmission, BatchStats, ShardedConfig, ShardedOutcome};
-pub use similarity::{Signature, SimilarityConfig, SimilarityIndex, SimilarityOutcome};

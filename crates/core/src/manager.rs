@@ -12,7 +12,7 @@ use quasar_interference::{penalty_for, PressureVector};
 use quasar_workloads::{FrameworkParams, NodeResources, PlatformCatalog, QosTarget, WorkloadId};
 
 use crate::axes::GoalKind;
-use crate::classify::{Classification, Classifier};
+use crate::classify::{pressure_axis, Classification, Classifier};
 use crate::config::QuasarConfig;
 use crate::estimate::{Estimator, PlannedNode};
 use crate::greedy::{AllocationPlan, CandidateServer, GreedyScheduler};
@@ -20,7 +20,6 @@ use crate::history::HistorySet;
 use crate::ordering::desirability;
 use crate::predict::LoadPredictor;
 use crate::profile::Profiler;
-use crate::similarity::SimilarityIndex;
 
 /// Counters describing what the manager did during a run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -114,10 +113,6 @@ pub struct QuasarManager {
     last_proactive_s: f64,
     rng: StdRng,
     stats: Arc<Mutex<ManagerStats>>,
-    /// Workload-similarity index ([`crate::similarity`]); `None` unless
-    /// `config.similarity.enabled`, in which case repeat arrivals reuse
-    /// or warm-start a neighbor's classification.
-    similarity: Option<SimilarityIndex>,
 }
 
 impl QuasarManager {
@@ -145,10 +140,6 @@ impl QuasarManager {
             last_proactive_s: 0.0,
             rng: StdRng::seed_from_u64(config.seed ^ 0xCAFE),
             stats: Arc::new(Mutex::new(ManagerStats::default())),
-            similarity: config
-                .similarity
-                .enabled
-                .then(|| SimilarityIndex::new(config.similarity)),
             history,
             config,
         }
@@ -1036,17 +1027,11 @@ impl QuasarManager {
             let r = world.probe_sensitivity(id, axes.resources[c], self.config.probe_qos_loss);
             tolerated_obs.push((c, r.value));
         }
-        let history = self.history.kind(kind);
-        let reconstructor = quasar_cf::Reconstructor::new();
-        if let Ok(row) = reconstructor.reconstruct_row(&history.tolerated, &tolerated_obs) {
-            if let Some(state) = self.states.get_mut(&id) {
-                for (i, v) in row.into_iter().enumerate() {
-                    state
-                        .class
-                        .tolerated
-                        .set(quasar_interference::SharedResource::from_index(i), v);
-                }
-            }
+        // The same unit-scaled fold-in that classification uses: the
+        // probes are 0–100 pressure points, the model works in [0, 1].
+        let tolerated = pressure_axis(&self.history.kind(kind).models.tolerated, &tolerated_obs);
+        if let Some(state) = self.states.get_mut(&id) {
+            state.class.tolerated = tolerated;
         }
         self.stats_mut().classifications += 1;
     }
@@ -1091,17 +1076,7 @@ impl Manager for QuasarManager {
         // Profile and classify every submission with its dataset (§3.2).
         let axes = self.history.axes().clone();
         let data = self.profiler.profile(world, &axes, id);
-        // With the similarity index enabled, repeat arrivals skip or
-        // warm-start reconstruction; disabled (the default), this is the
-        // plain classification path, bit for bit.
-        let class = match self.similarity.as_mut() {
-            Some(index) => {
-                let (class, _, _) =
-                    index.classify_or_insert(&self.classifier, &self.history, &data);
-                class
-            }
-            None => self.classifier.classify(&self.history, &data),
-        };
+        let class = self.classifier.classify(&self.history, &data);
         self.stats_mut().classifications += 1;
         self.states.insert(
             id,
@@ -1256,6 +1231,84 @@ mod tests {
             standby.pending_wait_s(100.0, WorkloadId(2)),
             manager.pending_wait_s(100.0, WorkloadId(2))
         );
+    }
+
+    /// Regression: the proactive sweep's in-place reclassification fed
+    /// 0–100 pressure probes to an SGD reconstructor tuned for unit-scale
+    /// data, which diverged and wrote NaN into the tolerated vector. It
+    /// now folds the probes into the same unit-scaled model as
+    /// classification, for every goal kind.
+    #[test]
+    fn forced_interference_reclassification_keeps_pressures_finite_and_in_range() {
+        let catalog = PlatformCatalog::local();
+        let mut manager = QuasarManager::bootstrap(&catalog, QuasarConfig::default());
+        let axes = manager.history().axes().clone();
+        let mut sim = Simulation::new(
+            ClusterSpec::uniform(catalog.clone(), 1),
+            Box::new(quasar_cluster::managers::NullManager),
+            SimConfig::default(),
+        );
+        let mut generator = Generator::new(catalog, 31);
+        let jobs = [
+            (
+                generator.analytics_job(
+                    WorkloadClass::Hadoop,
+                    "h",
+                    Dataset::new("d", 12.0, 1.0),
+                    2,
+                    900.0,
+                    Priority::Guaranteed,
+                ),
+                GoalKind::Time,
+            ),
+            (
+                generator.service(
+                    WorkloadClass::Memcached,
+                    "m",
+                    10.0,
+                    LoadPattern::Flat { qps: 20_000.0 },
+                    Priority::Guaranteed,
+                ),
+                GoalKind::Qps,
+            ),
+            (
+                generator.single_node_job("b", 600.0, Priority::Guaranteed),
+                GoalKind::Rate,
+            ),
+        ];
+        let mut ids = Vec::new();
+        for (job, kind) in jobs {
+            ids.push((job.id(), kind));
+            sim.submit_at(job, 0.0);
+        }
+        let tick = sim.world().tick_s();
+        sim.run_until(tick);
+        for (id, kind) in ids {
+            let class = Classification {
+                kind,
+                ..test_class(&axes)
+            };
+            manager.states.insert(id, state_with(class, 0.0, 0.0));
+            manager.reclassify_interference(sim.world_mut(), id);
+            let tolerated = manager.states[&id].class.tolerated;
+            let loss = manager.config.probe_qos_loss;
+            let mut abs_err = 0.0;
+            for (i, &resource) in axes.resources.iter().enumerate() {
+                let v = tolerated.get(quasar_interference::SharedResource::from_index(i));
+                assert!(
+                    v.is_finite() && (0.0..=PressureVector::MAX).contains(&v),
+                    "{kind:?}: tolerated[{i}] = {v}"
+                );
+                abs_err += (v - sim.world_mut().probe_sensitivity(id, resource, loss).value).abs();
+            }
+            // A diverged estimate sanitized to 0.0 still passes the range
+            // check; it does not pass a comparison with measured truth.
+            let mean_err = abs_err / axes.resources.len() as f64;
+            assert!(
+                mean_err < 15.0,
+                "{kind:?}: mean abs error {mean_err:.1} points"
+            );
+        }
     }
 
     #[test]

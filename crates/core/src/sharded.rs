@@ -17,8 +17,8 @@
 //! admission path that classifies one representative job up front
 //! ([`template_classification`]) and then plans whole batches with
 //! [`GreedyScheduler::plan_batch`] instead of re-profiling every arrival
-//! — the SVD+SGD classification fast path is still O(ms) per job, which
-//! at 10⁵–10⁶ arrivals would dwarf the scheduling cost being measured.
+//! — sandboxed profiling runs a scratch world per job, which at 10⁵–10⁶
+//! arrivals would dwarf the scheduling cost being measured.
 
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex, OnceLock};
@@ -37,7 +37,6 @@ use crate::greedy::{CandidateServer, GreedyScheduler};
 use crate::history::HistorySet;
 use crate::par::par_map_mut;
 use crate::profile::Profiler;
-use crate::similarity::{Signature, SimilarityConfig, SimilarityIndex};
 
 /// Live wall-clock telemetry for the sharded driver. Everything under
 /// `quasar.cluster.shard.wall.` is stripped from deterministic snapshots.
@@ -95,33 +94,17 @@ pub struct BatchAdmission {
     scheduler: GreedyScheduler,
     queue: VecDeque<WorkloadId>,
     stats: Arc<Mutex<BatchStats>>,
-    /// Cell-local similarity index keyed by QoS class; `None` unless the
-    /// sharded config enables it. Each cell owns its own index — entries
-    /// never cross the seam, so placement digests stay independent of the
-    /// shard count and of cell interleaving.
-    similarity: Option<SimilarityIndex>,
 }
 
 impl BatchAdmission {
     /// A batched-admission manager planning with `class` on `axes`.
     pub fn new(axes: Axes, class: Classification) -> BatchAdmission {
-        BatchAdmission::with_similarity(axes, class, SimilarityConfig::default())
-    }
-
-    /// A batched-admission manager with a cell-local similarity index
-    /// (no index when `similarity.enabled` is false).
-    pub fn with_similarity(
-        axes: Axes,
-        class: Classification,
-        similarity: SimilarityConfig,
-    ) -> BatchAdmission {
         BatchAdmission {
             axes,
             class,
             scheduler: GreedyScheduler::new(4),
             queue: VecDeque::new(),
             stats: Arc::new(Mutex::new(BatchStats::default())),
-            similarity: similarity.enabled.then(|| SimilarityIndex::new(similarity)),
         }
     }
 
@@ -174,28 +157,10 @@ impl Manager for BatchAdmission {
         let take = self.queue.len().min(PLAN_CAP);
         let batch: Vec<WorkloadId> = self.queue.drain(..take).collect();
         let targets: Vec<QosTarget> = batch.iter().map(|&id| world.spec(id).target).collect();
-        // With a cell-local similarity index, each job resolves its QoS
-        // class through the index: the first sighting of a class files
-        // the admission template under its signature (a miss), every
-        // repeat hits the cached entry. All lookups return the template,
-        // so plans — and the placement digest — are byte-identical with
-        // the index on or off; the index only removes lookup work.
-        let class = match self.similarity.as_mut() {
-            Some(index) => {
-                let template = &self.class;
-                let mut resolved = template.clone();
-                for target in &targets {
-                    let sig = Signature::of_features(qos_features(target), index.config());
-                    resolved = index.reuse_or_insert(sig, || template.clone()).0;
-                }
-                resolved
-            }
-            None => self.class.clone(),
-        };
         let candidates = self.candidates(world);
         let plans = self
             .scheduler
-            .plan_batch(&self.axes, &class, &targets, &candidates);
+            .plan_batch(&self.axes, &self.class, &targets, &candidates);
         let mut placed = 0u64;
         for (&id, plan) in batch.iter().zip(&plans) {
             let committed = plan.as_ref().is_some_and(|plan| {
@@ -224,37 +189,14 @@ impl Manager for BatchAdmission {
     fn on_completion(&mut self, _world: &mut World, _id: WorkloadId) {}
 }
 
-/// Quantized feature coordinates of a QoS class for the cell-local
-/// similarity index: the variant joins as its own feature (tag 0x40) so
-/// different goal kinds never collide, and each target value joins
-/// ln-bucketed (tag 0x41) so targets within the bucket width fuse into
-/// one class.
-fn qos_features(target: &QosTarget) -> Vec<(u64, usize, i64)> {
-    // Same bucket width as profiling-row speeds: ~5% per bucket.
-    let bucket = |v: f64| (v.max(1e-12).ln() / 0.05).round() as i64;
-    match *target {
-        QosTarget::CompletionTime { seconds } => {
-            vec![(0x40, 0, 0), (0x41, 0, bucket(seconds))]
-        }
-        QosTarget::Throughput {
-            qps,
-            p99_latency_us,
-        } => vec![
-            (0x40, 1, 0),
-            (0x41, 0, bucket(qps)),
-            (0x41, 1, bucket(p99_latency_us)),
-        ],
-        QosTarget::Ips { ips } => vec![(0x40, 2, 0), (0x41, 0, bucket(ips))],
-    }
-}
-
 /// Classifies one representative single-node job on a sandboxed
 /// one-server scratch world and returns the result for reuse across an
 /// entire admission sweep.
 ///
 /// Profiling and CF classification run exactly once per sweep, not per
-/// arrival: at the 10⁵–10⁶ jobs `fig12` admits, per-arrival SVD+SGD would
-/// dominate the very scheduling cost the sweep measures. All sweep jobs
+/// arrival: at the 10⁵–10⁶ jobs `fig12` admits, per-arrival sandboxed
+/// profiling would dominate the very scheduling cost the sweep measures.
+/// All sweep jobs
 /// are drawn from the same generator family, so one classification is
 /// representative.
 pub fn template_classification(
@@ -303,10 +245,6 @@ pub struct ShardedConfig {
     pub rebalance_threshold: usize,
     /// Per-cell world configuration (seed, tick, noise).
     pub sim: SimConfig,
-    /// Cell-local similarity index configuration (disabled by default;
-    /// see [`crate::similarity`]). Each cell builds its own index, so
-    /// enabling it never couples cells or perturbs placement digests.
-    pub similarity: SimilarityConfig,
 }
 
 impl Default for ShardedConfig {
@@ -322,7 +260,6 @@ impl Default for ShardedConfig {
                 noise: 0.0,
                 ..SimConfig::default()
             },
-            similarity: SimilarityConfig::default(),
         }
     }
 }
@@ -386,8 +323,7 @@ pub fn run_sharded(
         .into_iter()
         .enumerate()
         .map(|(id, part)| {
-            let manager =
-                BatchAdmission::with_similarity(axes.clone(), template.clone(), config.similarity);
+            let manager = BatchAdmission::new(axes.clone(), template.clone());
             stats.push(manager.stats_handle());
             Cell::new(
                 id,
@@ -555,37 +491,6 @@ mod tests {
         assert_eq!(one.placed, serial.placed);
         assert_eq!(one.digest, serial.digest);
         assert_eq!(one.jobs, serial.jobs);
-    }
-
-    #[test]
-    fn similarity_index_does_not_perturb_the_placement_digest() {
-        let spec = ClusterSpec::uniform(PlatformCatalog::local(), 4);
-        let history = history();
-        let run = |shards: usize, threads: usize, similarity: SimilarityConfig| {
-            run_sharded(
-                &spec,
-                &history,
-                sweep_jobs(80, 0xD1CE),
-                &ShardedConfig {
-                    shards,
-                    threads,
-                    similarity,
-                    ..ShardedConfig::default()
-                },
-            )
-        };
-        let off = run(2, 1, SimilarityConfig::default());
-        // Same shard/thread split with cell-local indexes: byte-identical
-        // outcome — lookups return the admission template either way.
-        let on = run(2, 1, SimilarityConfig::enabled());
-        assert_eq!(off, on, "index on/off must not change the outcome");
-        // And with the index on, the digest stays invariant across both
-        // thread and shard counts (per-cell ownership, no shared state).
-        let threaded = run(2, 4, SimilarityConfig::enabled());
-        assert_eq!(on, threaded);
-        let resharded = run(4, 2, SimilarityConfig::enabled());
-        assert_eq!(on.digest, resharded.digest);
-        assert_eq!(on.placed, resharded.placed);
     }
 
     #[test]

@@ -4,10 +4,8 @@
 
 use std::fmt;
 
-use quasar_core::par::{derive_seed, par_map_seeded};
-use quasar_core::{Classifier, SimilarityConfig, SimilarityIndex, SimilarityOutcome};
+use quasar_core::par::par_map_seeded;
 
-use crate::bench_classify::jitter_within_buckets;
 use crate::report::{mean, percentile, write_csv, TextTable};
 use crate::validate::{AppClass, ErrorSamples, Validator};
 use crate::{local_history, Scale};
@@ -34,37 +32,11 @@ pub struct DensityPoint {
     pub decide_us_exhaustive: f64,
 }
 
-/// One app class's index-on vs index-off comparison on a repeat-heavy
-/// arrival stream (see [`run_with`]'s compare pass).
-#[derive(Debug, Clone)]
-pub struct IndexComparePoint {
-    /// Application class name.
-    pub app: String,
-    /// Arrivals streamed (bases plus in-bucket jittered repeats).
-    pub arrivals: usize,
-    /// Index hits across the stream.
-    pub hits: u64,
-    /// Warm starts across the stream.
-    pub warm_starts: u64,
-    /// Misses (cold classifications) across the stream.
-    pub misses: u64,
-    /// Largest relative deviation of any index-on speed estimate
-    /// (scale-up and heterogeneity columns) from the index-off
-    /// classification of the same arrival.
-    pub max_rel_dev: f64,
-    /// Median per-decision latency with the index, µs (live).
-    pub median_on_us: f64,
-    /// Median per-decision latency without, µs (live).
-    pub median_off_us: f64,
-}
-
 /// The Figure 3 dataset.
 #[derive(Debug, Clone)]
 pub struct Fig3Result {
     /// Per app class: the density sweep.
     pub sweeps: Vec<(String, Vec<DensityPoint>)>,
-    /// Per app class: the similarity-index accuracy/latency comparison.
-    pub index_compare: Vec<IndexComparePoint>,
 }
 
 impl Fig3Result {
@@ -104,11 +76,9 @@ pub fn run_with(scale: Scale, threads: usize) -> Fig3Result {
     let apps = [AppClass::Hadoop, AppClass::Memcached, AppClass::SingleNode];
 
     let mut sweeps = Vec::new();
-    let mut index_compare = Vec::new();
     for app in apps {
         let validator = Validator::new(local_history(), 0xF163 ^ app as u64);
         let sweep_seed = 0xF163u64 ^ ((app as u64) << 32);
-        index_compare.push(compare_index(&validator, app, scale));
         let mut points = Vec::new();
         for &d in densities {
             // Same items, same item seeds at every density.
@@ -182,113 +152,7 @@ pub fn run_with(scale: Scale, threads: usize) -> Fig3Result {
         &rows,
     );
 
-    let compare_rows: Vec<Vec<f64>> = index_compare
-        .iter()
-        .enumerate()
-        .map(|(a, p)| {
-            vec![
-                a as f64,
-                p.arrivals as f64,
-                p.hits as f64,
-                p.warm_starts as f64,
-                p.misses as f64,
-                p.max_rel_dev,
-                live(p.median_on_us),
-                live(p.median_off_us),
-            ]
-        })
-        .collect();
-    write_csv(
-        "fig3",
-        "index_compare",
-        &[
-            "app",
-            "arrivals",
-            "hits",
-            "warm_starts",
-            "misses",
-            "max_rel_dev",
-            "median_on_us",
-            "median_off_us",
-        ],
-        &compare_rows,
-    );
-
-    Fig3Result {
-        sweeps,
-        index_compare,
-    }
-}
-
-/// Classifies one app class's repeat-heavy arrival stream twice — plain
-/// classifier vs the similarity index at its default enabled config —
-/// and reports how far the index's reused/warm-started estimates drift
-/// from the per-arrival cold classifications, plus both median decision
-/// latencies. Serial and thread-independent: the stream always runs in
-/// arrival order against a fresh per-app index.
-fn compare_index(validator: &Validator, app: AppClass, scale: Scale) -> IndexComparePoint {
-    let (bases, repeats) = match scale {
-        Scale::Quick => (2usize, 4usize),
-        Scale::Full => (3, 8),
-    };
-    let config = SimilarityConfig::enabled();
-    let cmp_seed = 0xF163_C0DEu64 ^ ((app as u64) << 40);
-
-    // The stream: each base profiled once for real, then re-arrivals
-    // whose raw measurements are jittered within the quantization
-    // buckets (profiling noise on a repeat submission of the same
-    // workload — see `bench_classify::jitter_within_buckets`).
-    let mut arrivals = Vec::with_capacity(bases * repeats);
-    for b in 0..bases {
-        let workload = validator.generate(app, b);
-        let data = validator.profile_item(derive_seed(cmp_seed, b as u64), workload, 2);
-        for r in 0..repeats {
-            if r == 0 {
-                arrivals.push(data.clone());
-            } else {
-                let salt = derive_seed(cmp_seed, (1_000 + b * 100 + r) as u64);
-                arrivals.push(jitter_within_buckets(&data, &config, salt));
-            }
-        }
-    }
-
-    let classifier: &Classifier = validator.classifier();
-    let history = validator.history();
-    let mut index = SimilarityIndex::new(config);
-    let (mut hits, mut warm_starts, mut misses) = (0u64, 0u64, 0u64);
-    let mut max_rel_dev = 0.0f64;
-    let mut on_us = Vec::with_capacity(arrivals.len());
-    let mut off_us = Vec::with_capacity(arrivals.len());
-    for data in &arrivals {
-        let (off, wall_us) = classifier.classify_timed(history, data);
-        off_us.push(wall_us);
-        let (on, decide_us, outcome) = index.classify_or_insert(classifier, history, data);
-        on_us.push(decide_us);
-        match outcome {
-            SimilarityOutcome::Hit => hits += 1,
-            SimilarityOutcome::WarmStart => warm_starts += 1,
-            SimilarityOutcome::Miss => misses += 1,
-        }
-        let pairs = on
-            .scale_up_speed
-            .iter()
-            .zip(&off.scale_up_speed)
-            .chain(on.hetero_speed.iter().zip(&off.hetero_speed));
-        for (&a, &b) in pairs {
-            max_rel_dev = max_rel_dev.max((a - b).abs() / b.abs().max(1e-12));
-        }
-    }
-
-    IndexComparePoint {
-        app: app.name().to_string(),
-        arrivals: arrivals.len(),
-        hits,
-        warm_starts,
-        misses,
-        max_rel_dev,
-        median_on_us: percentile(&on_us, 0.5),
-        median_off_us: percentile(&off_us, 0.5),
-    }
+    Fig3Result { sweeps }
 }
 
 impl fmt::Display for Fig3Result {
@@ -333,33 +197,7 @@ impl fmt::Display for Fig3Result {
                 ]);
             }
         }
-        writeln!(f, "{}", t.render())?;
-
-        let mut c =
-            TextTable::new("Similarity index vs per-arrival classification (repeat-heavy stream)")
-                .header([
-                    "app",
-                    "arrivals",
-                    "hits",
-                    "warm",
-                    "miss",
-                    "max dev %",
-                    "median on us",
-                    "median off us",
-                ]);
-        for p in &self.index_compare {
-            c.row([
-                p.app.clone(),
-                p.arrivals.to_string(),
-                p.hits.to_string(),
-                p.warm_starts.to_string(),
-                p.misses.to_string(),
-                format!("{:.2}", p.max_rel_dev * 100.0),
-                us(p.median_on_us),
-                us(p.median_off_us),
-            ]);
-        }
-        write!(f, "{}", c.render())
+        write!(f, "{}", t.render())
     }
 }
 
@@ -377,34 +215,6 @@ mod tests {
             assert!(points.last().unwrap().profile_s >= points.first().unwrap().profile_s);
         }
         assert!(r.density_two_improves());
-    }
-
-    #[test]
-    fn index_compare_reuses_and_stays_within_tolerance() {
-        let r = run(Scale::Quick);
-        assert_eq!(r.index_compare.len(), 3);
-        for p in &r.index_compare {
-            assert_eq!(p.arrivals, 8, "{}: 2 bases x 4 repeats", p.app);
-            assert_eq!(
-                p.hits + p.warm_starts + p.misses,
-                p.arrivals as u64,
-                "{}",
-                p.app
-            );
-            // Every non-base arrival is an in-bucket repeat: only the
-            // two bases may miss.
-            assert!(p.misses <= 2, "{}: misses {}", p.app, p.misses);
-            assert!(p.hits >= 6, "{}: hits {}", p.app, p.hits);
-            // The documented accuracy tolerance of index reuse (see
-            // DESIGN.md): reused estimates stay within 15% of the
-            // per-arrival cold classification on every speed column.
-            assert!(
-                p.max_rel_dev < 0.15,
-                "{}: max_rel_dev {:.3}",
-                p.app,
-                p.max_rel_dev
-            );
-        }
     }
 
     #[test]

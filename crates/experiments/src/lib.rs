@@ -17,7 +17,6 @@
 
 pub mod adaptation;
 pub mod alloc_track;
-pub mod bench_classify;
 pub mod bench_kernels;
 pub mod bench_sim;
 pub mod fig1;

@@ -6,7 +6,6 @@
 //! quasar-experiments trace <id> [--full] [--threads N]
 //!                    [--trace-out PATH] [--jsonl-out PATH]
 //! quasar-experiments bench-kernels [--full] [--json] [--out PATH]
-//! quasar-experiments bench-classify [--full] [--json] [--out PATH]
 //! quasar-experiments bench-sim [--full] [--json] [--out PATH]
 //! quasar-experiments bench-sim --jobs N [--halt-at-s T --snapshot-out PATH]
 //!                    [--chunk-dir PATH]
@@ -24,12 +23,6 @@
 //! raises the reps and uses the production SGD epoch cap). `--json`
 //! additionally writes the machine-readable result to `--out PATH`
 //! (default `BENCH_kernels.json`).
-//!
-//! `bench-classify` streams repeat-heavy arrivals through the
-//! workload-similarity index and reports hit/skip rates plus median
-//! per-decision latency against the index-off cold path at 1k/10k/100k
-//! arrivals; `--json` writes the result to `--out PATH` (default
-//! `BENCH_classify.json`, schema `quasar.bench_classify.v1`).
 //!
 //! `bench-sim` measures event-driven simulator throughput (logical
 //! events per wall second) across job counts, journaling through a
@@ -106,7 +99,6 @@ fn usage() -> ! {
          \x20      quasar-experiments trace <id> [--full] [--threads N] \
          [--trace-out PATH] [--jsonl-out PATH]\n\
          \x20      quasar-experiments bench-kernels [--full] [--json] [--out PATH]\n\
-         \x20      quasar-experiments bench-classify [--full] [--json] [--out PATH]\n\
          \x20      quasar-experiments bench-sim [--full] [--json] [--out PATH]\n\
          \x20      quasar-experiments bench-sim --jobs N [--halt-at-s T \
          --snapshot-out PATH] [--chunk-dir PATH]\n\
@@ -127,7 +119,6 @@ struct Options {
     bench_mode: bool,
     bench_json: bool,
     bench_out: Option<String>,
-    bench_classify_mode: bool,
     bench_sim_mode: bool,
     qos_report_mode: bool,
     sim_jobs: Option<u64>,
@@ -148,7 +139,6 @@ fn parse_args(args: &[String]) -> Options {
         bench_mode: false,
         bench_json: false,
         bench_out: None,
-        bench_classify_mode: false,
         bench_sim_mode: false,
         qos_report_mode: false,
         sim_jobs: None,
@@ -207,9 +197,6 @@ fn parse_args(args: &[String]) -> Options {
             }
             "trace" if opts.ids.is_empty() && !opts.trace_mode => opts.trace_mode = true,
             "bench-kernels" if opts.ids.is_empty() && !opts.bench_mode => opts.bench_mode = true,
-            "bench-classify" if opts.ids.is_empty() && !opts.bench_classify_mode => {
-                opts.bench_classify_mode = true
-            }
             "bench-sim" if opts.ids.is_empty() && !opts.bench_sim_mode => {
                 opts.bench_sim_mode = true
             }
@@ -220,8 +207,7 @@ fn parse_args(args: &[String]) -> Options {
         }
         i += 1;
     }
-    if opts.ids.is_empty() && !opts.bench_mode && !opts.bench_classify_mode && !opts.bench_sim_mode
-    {
+    if opts.ids.is_empty() && !opts.bench_mode && !opts.bench_sim_mode {
         usage();
     }
     opts
@@ -303,19 +289,6 @@ fn run_bench_kernels(opts: &Options) {
     if opts.bench_json {
         let path = opts.bench_out.as_deref().unwrap_or("BENCH_kernels.json");
         write_or_fail(path, &report.to_json(), "kernel bench results");
-    }
-}
-
-fn run_bench_classify(opts: &Options) {
-    if !opts.ids.is_empty() {
-        eprintln!("bench-classify takes no experiment ids");
-        usage();
-    }
-    let report = quasar_experiments::bench_classify::run(opts.scale);
-    println!("{report}");
-    if opts.bench_json {
-        let path = opts.bench_out.as_deref().unwrap_or("BENCH_classify.json");
-        write_or_fail(path, &report.to_json(), "classification bench results");
     }
 }
 
@@ -453,10 +426,6 @@ fn main() {
     }
     if opts.bench_mode {
         run_bench_kernels(&opts);
-        return;
-    }
-    if opts.bench_classify_mode {
-        run_bench_classify(&opts);
         return;
     }
     if opts.trace_mode {

@@ -76,6 +76,25 @@ impl Table2Result {
     }
 }
 
+/// The validated application classes and how many workloads of each.
+fn classes(scale: Scale) -> [(AppClass, usize); 4] {
+    let (per_class, single_node) = match scale {
+        Scale::Quick => (6, 20),
+        Scale::Full => (10, 413),
+    };
+    [
+        (AppClass::Hadoop, per_class),
+        (AppClass::Memcached, per_class),
+        (AppClass::Webserver, per_class),
+        (AppClass::SingleNode, single_node),
+    ]
+}
+
+/// The seed a class's workload items derive their own seeds from.
+fn sweep_seed(app: AppClass) -> u64 {
+    0x7AB2u64 ^ ((app as u64) << 32)
+}
+
 /// Runs the validation serially (equivalent to `run_with(scale, 1)`).
 pub fn run(scale: Scale) -> Table2Result {
     run_with(scale, 1)
@@ -86,30 +105,19 @@ pub fn run(scale: Scale) -> Table2Result {
 /// RNG streams seeded from `(sweep seed, item index)` alone, so the
 /// result is bit-identical for every thread count.
 pub fn run_with(scale: Scale, threads: usize) -> Table2Result {
-    let per_class = match scale {
-        Scale::Quick => 6,
-        Scale::Full => 10,
-    };
-    let single_node = match scale {
-        Scale::Quick => 20,
-        Scale::Full => 413,
-    };
     let validator = Validator::new(local_history(), 0x7AB2);
 
-    let classes = [
-        (AppClass::Hadoop, per_class),
-        (AppClass::Memcached, per_class),
-        (AppClass::Webserver, per_class),
-        (AppClass::SingleNode, single_node),
-    ];
-
     let mut rows = Vec::new();
-    for (app, count) in classes {
-        let sweep_seed = 0x7AB2u64 ^ ((app as u64) << 32);
-        let per_item = par_map_seeded(threads, sweep_seed, (0..count).collect(), |i, seed, _| {
-            let workload = validator.generate(app, i);
-            validator.validate_item(seed, workload, 2, true)
-        });
+    for (app, count) in classes(scale) {
+        let per_item = par_map_seeded(
+            threads,
+            sweep_seed(app),
+            (0..count).collect(),
+            |i, seed, _| {
+                let workload = validator.generate(app, i);
+                validator.validate_item(seed, workload, 2, true)
+            },
+        );
         let mut samples = ErrorSamples::default();
         for s in &per_item {
             samples.merge(s);
@@ -171,7 +179,130 @@ impl fmt::Display for Table2Result {
 
 #[cfg(test)]
 mod tests {
+    use quasar_cf::{DenseMatrix, Reconstructor};
+    use quasar_core::history::ln_speed;
+    use quasar_core::{Classification, HistorySet, ProfilingData};
+    use quasar_interference::{PressureVector, SharedResource};
+
     use super::*;
+
+    /// The per-arrival SVD + SGD reconstruction the fold-in replaced, kept
+    /// as the accuracy oracle: one [`Reconstructor`] run per axis over the
+    /// kind's history plus the profiled row (pressures in unit scale).
+    /// Only the axes Table 2 scores are reconstructed.
+    fn sgd_classification(history: &HistorySet, data: &ProfilingData) -> Classification {
+        let h = history.kind(data.kind);
+        let sgd = Reconstructor::new();
+        let speed = |m: &DenseMatrix, observed: &[(usize, f64)]| -> Vec<f64> {
+            let target: Vec<(usize, f64)> = observed
+                .iter()
+                .map(|&(c, v)| (c, ln_speed(data.kind, v)))
+                .collect();
+            let row = sgd
+                .reconstruct_row(m, &target)
+                .expect("valid profiling row");
+            row.into_iter().map(f64::exp).collect()
+        };
+        let unit = |m: &DenseMatrix| {
+            DenseMatrix::from_fn(m.rows(), m.cols(), |r, c| m.get(r, c) / PressureVector::MAX)
+        };
+        let target: Vec<(usize, f64)> = data
+            .tolerated
+            .iter()
+            .map(|&(c, v)| (c, v / PressureVector::MAX))
+            .collect();
+        let row = sgd
+            .reconstruct_row(&unit(&h.tolerated), &target)
+            .expect("valid profiling row");
+        let mut tolerated = PressureVector::zero();
+        for (i, v) in row.into_iter().enumerate() {
+            tolerated.set(SharedResource::from_index(i), v * PressureVector::MAX);
+        }
+        Classification {
+            kind: data.kind,
+            scale_up_speed: speed(&h.scale_up, &data.scale_up),
+            scale_out_speed: h
+                .scale_out
+                .as_ref()
+                .filter(|_| !data.scale_out.is_empty())
+                .map(|m| speed(m, &data.scale_out)),
+            hetero_speed: speed(&h.hetero, &data.hetero),
+            params_speed: None,
+            tolerated,
+            caused: PressureVector::zero(),
+            runtime_calibration: 1.0,
+        }
+    }
+
+    /// Accuracy gate on the Table 2 path: the quick-scale workloads,
+    /// profiled at density 2 in noisy worlds, are classified by the
+    /// fold-in and by the SGD oracle and scored against the same ground
+    /// truth. Each axis's error is averaged over the class rows as
+    /// Table 2 reports it. The fold-in may trail the oracle by at most
+    /// the stated points per axis: scale-up and interference are where
+    /// it trails (by about 5.7 and 2.2 points), and their bounds hold
+    /// that measured gap with a point of margin rather than hide it.
+    #[test]
+    fn fold_in_table2_errors_stay_within_per_axis_bounds_of_sgd() {
+        let validator = Validator::new(local_history(), 0x7AB2);
+        let history = validator.history();
+        let axes = ["scale-up", "scale-out", "hetero", "interference"];
+        let bounds = [0.07, 0.01, 0.01, 0.03];
+        // Per axis, one (fold-in, SGD) average per class row.
+        let mut rows: Vec<Vec<(f64, f64)>> = vec![Vec::new(); axes.len()];
+        for (app, count) in classes(Scale::Quick) {
+            let (mut fold, mut sgd) = (ErrorSamples::default(), ErrorSamples::default());
+            for i in 0..count {
+                let seed = quasar_core::par::derive_seed(sweep_seed(app), i as u64);
+                let workload = validator.generate(app, i);
+                fold.merge(&validator.validate_item(seed, workload.clone(), 2, false));
+                sgd.merge(
+                    &validator.validate_item_with(seed, workload, 2, false, |data| {
+                        (sgd_classification(history, data), 0.0)
+                    }),
+                );
+            }
+            // Single-node rows have no scale-out samples (Table 2's `-`).
+            let per_axis = |e: &ErrorSamples| {
+                [&e.scale_up, &e.scale_out, &e.hetero, &e.interference]
+                    .map(|v| (!v.is_empty()).then(|| mean(v)))
+            };
+            for (a, pair) in per_axis(&fold).into_iter().zip(per_axis(&sgd)).enumerate() {
+                if let (Some(f), Some(s)) = pair {
+                    rows[a].push((f, s));
+                }
+            }
+        }
+
+        let avg = |v: &[(f64, f64)]| {
+            let n = v.len().max(1) as f64;
+            let (f, s) = v.iter().fold((0.0, 0.0), |(f, s), &(a, b)| (f + a, s + b));
+            (f / n, s / n)
+        };
+        for ((name, bound), cells) in axes.iter().zip(bounds).zip(&rows) {
+            let (fold, sgd) = avg(cells);
+            eprintln!(
+                "{name:>12}: fold-in {:5.1}%  sgd {:5.1}%",
+                fold * 100.0,
+                sgd * 100.0
+            );
+            assert!(
+                fold <= sgd + bound,
+                "{name}: fold-in {fold:.4} vs sgd {sgd:.4} (bound +{bound})"
+            );
+        }
+        let all: Vec<(f64, f64)> = rows.concat();
+        let (fold, sgd) = avg(&all);
+        eprintln!(
+            "     overall: fold-in {:5.1}%  sgd {:5.1}%",
+            fold * 100.0,
+            sgd * 100.0
+        );
+        assert!(
+            fold <= sgd + 0.01,
+            "overall: fold-in {fold:.4} vs sgd {sgd:.4}"
+        );
+    }
 
     /// Sweep-level determinism: validating a batch of workloads on 4
     /// worker threads produces bit-identical error samples to 1 thread.

@@ -19,8 +19,8 @@ use std::collections::HashMap;
 use quasar_cf::DenseMatrix;
 use quasar_cluster::{managers::NullManager, ClusterSpec, ProfileConfig, SimConfig, Simulation};
 use quasar_core::{
-    history::ln_speed, par::derive_seed, Axes, Classifier, ExhaustiveClassifier, GoalKind,
-    HistorySet, Profiler, ProfilingData, SimilarityConfig, SimilarityIndex,
+    history::ln_speed, par::derive_seed, Axes, Classification, Classifier, ExhaustiveClassifier,
+    GoalKind, HistorySet, Profiler, ProfilingData,
 };
 use quasar_workloads::generate::Generator;
 use quasar_workloads::{
@@ -252,6 +252,23 @@ impl Validator {
         d: usize,
         with_exhaustive: bool,
     ) -> ErrorSamples {
+        self.validate_item_with(item_seed, workload, d, with_exhaustive, |data| {
+            self.classifier.classify_timed(self.history, data)
+        })
+    }
+
+    /// [`Validator::validate_item`] with the four-parallel classification
+    /// done by `classify` (classification and decision microseconds), so
+    /// another classifier can be scored on exactly the same profiling
+    /// rows and ground truth.
+    pub(crate) fn validate_item_with(
+        &self,
+        item_seed: u64,
+        workload: Workload,
+        d: usize,
+        with_exhaustive: bool,
+        classify: impl FnOnce(&ProfilingData) -> (Classification, f64),
+    ) -> ErrorSamples {
         let mut out = ErrorSamples::default();
         let mut worlds = ItemWorlds::new(item_seed);
         let id = worlds.submit_twin(workload);
@@ -262,21 +279,7 @@ impl Validator {
         let mut profiler = Profiler::new(d, derive_seed(item_seed, 4));
         let data = profiler.profile(worlds.noisy.world_mut(), &axes, id);
         out.profile_wall_s.push(data.wall_seconds);
-        let (class, wall_us) = if fig3_through_index() {
-            // `QUASAR_FIG3_INDEX=1` routes this classification through a
-            // fresh, per-item, exact-only similarity index. The probe is
-            // always a miss (the index is empty), and the exact-only
-            // miss path is bit-identical to `classify_timed`, so every
-            // printed column matches the plain path — the CI smoke cmp's
-            // masked fig3 stdout across the two settings. A per-item
-            // index also keeps items order- and thread-independent.
-            let mut index = SimilarityIndex::new(SimilarityConfig::exact_only());
-            let (class, decide_us, _) =
-                index.classify_or_insert(&self.classifier, self.history, &data);
-            (class, decide_us)
-        } else {
-            self.classifier.classify_timed(self.history, &data)
-        };
+        let (class, wall_us) = classify(&data);
         out.decide_us_parallel.push(wall_us);
 
         // Ground truth per axis from the noiseless twin.
@@ -370,9 +373,9 @@ impl Validator {
 
     /// Profiles one workload at density `d` in a private noisy world and
     /// returns the raw profiling row, for experiments that classify
-    /// outside the validation loop (the fig3 index comparison and the
-    /// `bench-classify` arrival stream). Pure in `(item_seed, workload,
-    /// d)`, like [`Validator::validate_item`].
+    /// outside the validation loop (the `bench-kernels` allocation count
+    /// per classification). Pure in `(item_seed, workload, d)`, like
+    /// [`Validator::validate_item`].
     pub fn profile_item(&self, item_seed: u64, workload: Workload, d: usize) -> ProfilingData {
         let mut worlds = ItemWorlds::new(item_seed);
         let id = worlds.submit_twin(workload);
@@ -383,11 +386,6 @@ impl Validator {
     /// The offline history the harness classifies against.
     pub fn history(&self) -> &'static HistorySet {
         self.history
-    }
-
-    /// The four-parallel classifier.
-    pub fn classifier(&self) -> &Classifier {
-        &self.classifier
     }
 
     /// Generates the `index`-th test workload of the given application
@@ -437,13 +435,6 @@ impl Validator {
             }
         }
     }
-}
-
-/// Whether `QUASAR_FIG3_INDEX=1` asks the fig3 density sweep to route
-/// its classifications through a similarity index (see
-/// [`Validator::validate_item`]).
-fn fig3_through_index() -> bool {
-    std::env::var("QUASAR_FIG3_INDEX").is_ok_and(|v| v == "1")
 }
 
 /// Workload ids must be unique per world; re-key a generated workload.
