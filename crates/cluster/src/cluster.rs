@@ -225,13 +225,9 @@ impl ClusterState {
         self.placements.values()
     }
 
-    /// Workload ids with a slice on `server`.
-    pub fn workloads_on(&self, server: ServerId) -> Vec<WorkloadId> {
-        self.tenants[server.0].clone()
-    }
-
-    /// Borrowed view of the tenants on `server` (hot path).
-    pub fn tenants_on(&self, server: ServerId) -> &[WorkloadId] {
+    /// Workload ids with a slice on `server`, in the order their slices
+    /// were committed.
+    pub fn workloads_on(&self, server: ServerId) -> &[WorkloadId] {
         &self.tenants[server.0]
     }
 
@@ -509,7 +505,7 @@ mod tests {
         }
         // Every cell builds a working cluster.
         for cell in cells {
-            assert!(ClusterState::new(cell).servers().len() > 0);
+            assert!(!ClusterState::new(cell).servers().is_empty());
         }
     }
 
@@ -545,7 +541,7 @@ mod tests {
         let mut c = cluster();
         place_one(&mut c, 1, 9, 8);
         assert_eq!(c.server(ServerId(9)).used_cores(), 8);
-        assert_eq!(c.workloads_on(ServerId(9)), vec![WorkloadId(1)]);
+        assert_eq!(c.workloads_on(ServerId(9)), [WorkloadId(1)]);
         let p = c.release(WorkloadId(1)).unwrap();
         assert_eq!(p.total_cores(), 8);
         assert_eq!(c.server(ServerId(9)).used_cores(), 0);

@@ -332,6 +332,120 @@ pub struct World {
     recorder: FlightRecorder,
     /// Incident reports dumped so far (severe closed episodes).
     incidents: Vec<Incident>,
+    /// This tick's per-server pressure terms, rebuilt in place every
+    /// tick.
+    pressure: PressureTerms,
+    /// Running ids in id order, refilled every tick.
+    tick_running: Vec<WorkloadId>,
+    /// Per running workload (parallel to `tick_running`), the QoS
+    /// evidence `interference`: mean normalized pressure over its
+    /// active nodes.
+    tick_interference: Vec<f64>,
+}
+
+/// One tick's ground-truth pressure terms: for every server, the
+/// caused-pressure contribution of each active tenant, in tenant-index
+/// order — the order [`World::server_pressure`] adds them in. Summing a
+/// server's list while skipping one tenant and then adding the live
+/// injections performs the same saturating additions in the same order
+/// as `server_pressure`, so the result is bit-identical; each slice's
+/// share is derived once per tick instead of once per co-tenant.
+#[derive(Debug, Default)]
+struct PressureTerms {
+    /// `(tenant, contribution)` for every active slice, grouped by
+    /// server.
+    terms: Vec<(WorkloadId, PressureVector)>,
+    /// Server `s`'s terms are `terms[start[s]..start[s + 1]]`.
+    start: Vec<usize>,
+}
+
+impl PressureTerms {
+    /// Rebuilds the terms for every server at `now`, reusing the
+    /// buffers.
+    fn rebuild(&mut self, cluster: &ClusterState, entries: &HashMap<WorkloadId, Entry>, now: f64) {
+        self.terms.clear();
+        self.start.clear();
+        for server in cluster.servers() {
+            self.start.push(self.terms.len());
+            let sid = server.id();
+            for &id in cluster.workloads_on(sid) {
+                if let Some(caused) = caused_on(cluster, entries, sid, id, now) {
+                    self.terms.push((id, caused));
+                }
+            }
+        }
+        self.start.push(self.terms.len());
+    }
+
+    /// The pressure `exclude` sees on `server`: every other tenant's
+    /// term, then the live injections.
+    fn seen_by(
+        &self,
+        server: ServerId,
+        exclude: WorkloadId,
+        injections: &[Injection],
+        now: f64,
+    ) -> PressureVector {
+        let mut pressure = PressureVector::zero();
+        for &(id, caused) in &self.terms[self.start[server.0]..self.start[server.0 + 1]] {
+            if id != exclude {
+                pressure += caused;
+            }
+        }
+        add_injections(&mut pressure, injections, server, now);
+        pressure
+    }
+}
+
+/// The pressure tenant `id`'s slice on `server` exerts on its
+/// neighbours at `now`: its caused vector scaled by the slice's core
+/// share (halved when the placement is partitioned). `None` while the
+/// slice is not active yet, or if the tenant has no entry.
+fn caused_on(
+    cluster: &ClusterState,
+    entries: &HashMap<WorkloadId, Entry>,
+    server: ServerId,
+    id: WorkloadId,
+    now: f64,
+) -> Option<PressureVector> {
+    let entry = entries.get(&id)?;
+    let placement = cluster.placement(id).expect("placed workload");
+    let node = placement.node_on(server).expect("slice exists");
+    if !node.is_active(now) {
+        return None;
+    }
+    let total_cores = cluster.server(server).total_cores() as f64;
+    let share = (node.resources.cores as f64 / total_cores).min(1.0);
+    let outgoing = if placement.isolated {
+        ISOLATION_PRESSURE_FACTOR
+    } else {
+        1.0
+    };
+    Some(entry.interference().caused().scaled(share * outgoing))
+}
+
+/// Adds the injections live on `server` at `now`, in injection order.
+fn add_injections(
+    pressure: &mut PressureVector,
+    injections: &[Injection],
+    server: ServerId,
+    now: f64,
+) {
+    for inj in injections {
+        if inj.server == server && inj.until_s > now {
+            *pressure += inj.pressure;
+        }
+    }
+}
+
+/// One multiplicative noise draw in `[1 - noise, 1 + noise]` (exactly 1
+/// without noise, consuming no randomness).
+fn draw_noise(rng: &mut StdRng, noise: f64) -> f64 {
+    if noise <= 0.0 {
+        1.0
+    } else {
+        rng.random_range(1.0 - noise..=1.0 + noise)
+    }
 }
 
 impl World {
@@ -360,6 +474,9 @@ impl World {
             qos: SloTracker::new(SloConfig::default(), tick_s),
             recorder: FlightRecorder::new(FLIGHT_RECORDER_CAPACITY),
             incidents: Vec::new(),
+            pressure: PressureTerms::default(),
+            tick_running: Vec::new(),
+            tick_interference: Vec::new(),
         }
     }
 
@@ -403,7 +520,7 @@ impl World {
     }
 
     /// Workloads holding a slice on a server.
-    pub fn workloads_on(&self, server: ServerId) -> Vec<WorkloadId> {
+    pub fn workloads_on(&self, server: ServerId) -> &[WorkloadId] {
         self.cluster.workloads_on(server)
     }
 
@@ -945,15 +1062,17 @@ impl World {
 
     /// Feeds this tick's observations into the SLO tracker. Best-effort
     /// workloads are exempt (they have no QoS contract to violate); jobs
-    /// without a fresh observation contribute nothing.
-    fn track_qos(&mut self, running: &[WorkloadId]) {
+    /// without a fresh observation contribute nothing. `interference` is
+    /// parallel to `running`: the physics pass's mean normalized pressure
+    /// over each workload's active nodes.
+    fn track_qos(&mut self, running: &[WorkloadId], interference: &[f64]) {
         let total_cores = self.cluster.total_cores();
         let utilization = if total_cores > 0 {
             self.cluster.used_cores() as f64 / total_cores as f64
         } else {
             0.0
         };
-        for &id in running {
+        for (&id, &interference) in running.iter().zip(interference) {
             let entry = &self.entries[&id];
             if entry.workload.spec().is_best_effort() {
                 continue;
@@ -963,26 +1082,10 @@ impl World {
                 None => continue,
             };
             let target = entry.workload.spec().target;
-            let queue_wait_s = entry.placed_s.unwrap_or(self.now) - entry.submitted_s;
-            let rate_deviation = (entry.rate_factor - 1.0).abs();
-            let mut pressure = 0.0;
-            let mut nodes = 0u32;
-            if let Some(placement) = self.cluster.placement(id) {
-                for node in placement.active_nodes(self.now) {
-                    pressure += QosEvidence::normalize_pressure(
-                        &self.server_pressure(node.server, Some(id)),
-                    );
-                    nodes += 1;
-                }
-            }
             let evidence = QosEvidence {
-                interference: if nodes > 0 {
-                    pressure / nodes as f64
-                } else {
-                    0.0
-                },
-                queue_wait_s,
-                rate_deviation,
+                interference,
+                queue_wait_s: entry.placed_s.unwrap_or(self.now) - entry.submitted_s,
+                rate_deviation: (entry.rate_factor - 1.0).abs(),
                 utilization,
             };
             if let Some(episode) = self.qos.observe(self.now, id, &obs, &target, evidence) {
@@ -1148,11 +1251,7 @@ impl World {
     }
 
     fn sample_noise(&mut self) -> f64 {
-        if self.noise <= 0.0 {
-            1.0
-        } else {
-            self.rng.random_range(1.0 - self.noise..=1.0 + self.noise)
-        }
+        draw_noise(&mut self.rng, self.noise)
     }
 
     pub(crate) fn submit(&mut self, workload: Workload) {
@@ -1184,74 +1283,17 @@ impl World {
         server: ServerId,
         exclude: Option<WorkloadId>,
     ) -> PressureVector {
-        let total_cores = self.cluster.server(server).total_cores() as f64;
         let mut pressure = PressureVector::zero();
-        for id in self.cluster.workloads_on(server) {
+        for &id in self.cluster.workloads_on(server) {
             if Some(id) == exclude {
                 continue;
             }
-            let entry = match self.entries.get(&id) {
-                Some(e) => e,
-                None => continue,
-            };
-            let placement = self.cluster.placement(id).expect("placed workload");
-            let node = placement.node_on(server).expect("slice exists");
-            if !node.is_active(self.now) {
-                continue;
-            }
-            let share = (node.resources.cores as f64 / total_cores).min(1.0);
-            let outgoing = if placement.isolated {
-                ISOLATION_PRESSURE_FACTOR
-            } else {
-                1.0
-            };
-            pressure += entry.interference().caused().scaled(share * outgoing);
-        }
-        for inj in &self.injections {
-            if inj.server == server && inj.until_s > self.now {
-                pressure += inj.pressure;
+            if let Some(caused) = caused_on(&self.cluster, &self.entries, server, id, self.now) {
+                pressure += caused;
             }
         }
+        add_injections(&mut pressure, &self.injections, server, self.now);
         pressure
-    }
-
-    /// The active allocation of a workload as physics inputs (platforms
-    /// cloned so the result does not borrow the world). A partitioned
-    /// placement sees only a fraction of the ambient pressure.
-    fn physics_allocs(&self, id: WorkloadId) -> Vec<(Platform, NodeResources, PressureVector)> {
-        let placement = match self.cluster.placement(id) {
-            Some(p) => p,
-            None => return Vec::new(),
-        };
-        let incoming = if placement.isolated {
-            ISOLATION_PRESSURE_FACTOR
-        } else {
-            1.0
-        };
-        placement
-            .active_nodes(self.now)
-            .map(|node| {
-                (
-                    self.cluster.platform_of(node.server).clone(),
-                    node.resources,
-                    self.server_pressure(node.server, Some(id)).scaled(incoming),
-                )
-            })
-            .collect()
-    }
-
-    /// Capacity multiplier from partitioning overhead.
-    fn isolation_factor(&self, id: WorkloadId) -> f64 {
-        if self
-            .cluster
-            .placement(id)
-            .map(|p| p.isolated)
-            .unwrap_or(false)
-        {
-            ISOLATION_OVERHEAD_FACTOR
-        } else {
-            1.0
-        }
     }
 
     /// Advances physics by one tick: batch progress, service windows, QoS
@@ -1279,29 +1321,57 @@ impl World {
         world_metrics().ticks.inc();
         self.injections.retain(|inj| inj.until_s > self.now);
 
-        let running: Vec<WorkloadId> = self.running.iter().copied().collect();
+        // One pressure pass per tick: every server's terms are built once
+        // and every buffer below is reused, so the loop allocates nothing
+        // per running workload. Fields are borrowed one by one so the
+        // node list can hold platform references while entries mutate.
+        let mut running = std::mem::take(&mut self.tick_running);
+        running.clear();
+        running.extend(self.running.iter().copied());
+        let mut interference = std::mem::take(&mut self.tick_interference);
+        interference.clear();
+        self.pressure
+            .rebuild(&self.cluster, &self.entries, self.now);
+        let mut allocs: Vec<(&Platform, NodeResources, PressureVector)> = Vec::new();
         let mut completed = Vec::new();
 
         for &id in &running {
-            let owned_allocs = self.physics_allocs(id);
-            let iso = self.isolation_factor(id);
-            let allocs: Vec<(&Platform, NodeResources, PressureVector)> =
-                owned_allocs.iter().map(|(p, r, pr)| (p, *r, *pr)).collect();
-            let held_cores: u32 = self
-                .cluster
-                .placement(id)
-                .map(|p| p.total_cores())
-                .unwrap_or(0);
-            let noise = self.sample_noise();
+            let placement = self.cluster.placement(id);
+            let isolated = placement.is_some_and(|p| p.isolated);
+            // A partitioned placement sees only a fraction of the ambient
+            // pressure and keeps only part of its capacity.
+            let (incoming, iso) = if isolated {
+                (ISOLATION_PRESSURE_FACTOR, ISOLATION_OVERHEAD_FACTOR)
+            } else {
+                (1.0, 1.0)
+            };
+            allocs.clear();
+            let mut qos_pressure = 0.0;
+            let mut qos_nodes = 0u32;
+            for node in placement.into_iter().flat_map(|p| p.active_nodes(self.now)) {
+                let seen = self
+                    .pressure
+                    .seen_by(node.server, id, &self.injections, self.now);
+                qos_pressure += QosEvidence::normalize_pressure(&seen);
+                qos_nodes += 1;
+                allocs.push((
+                    self.cluster.platform_of(node.server),
+                    node.resources,
+                    seen.scaled(incoming),
+                ));
+            }
+            interference.push(if qos_nodes > 0 {
+                qos_pressure / qos_nodes as f64
+            } else {
+                0.0
+            });
+            let held_cores = placement.map(|p| p.total_cores()).unwrap_or(0);
+            let params = placement.map(|p| p.params).unwrap_or_default();
+            let noise = draw_noise(&mut self.rng, self.noise);
             let entry = self.entries.get_mut(&id).expect("running workload");
             entry.peak_cores = entry.peak_cores.max(held_cores);
             match entry.workload.model() {
                 PerfModel::Batch(model) => {
-                    let params = self
-                        .cluster
-                        .placement(id)
-                        .map(|p| p.params)
-                        .unwrap_or_default();
                     let rate = model.cluster_rate(&allocs, &params) * entry.rate_factor * iso;
                     let done_before = entry.remaining_work <= 0.0;
                     entry.remaining_work -= rate * dt;
@@ -1370,7 +1440,9 @@ impl World {
         // Feed this tick's observations to the SLO tracker before the
         // completion sweep, so a job that finishes while violating gets
         // its final violating tick accounted.
-        self.track_qos(&running);
+        self.track_qos(&running, &interference);
+        self.tick_running = running;
+        self.tick_interference = interference;
 
         for id in completed.iter() {
             self.running.remove(id);
@@ -1401,24 +1473,34 @@ impl World {
         let mut memory = vec![0.0; n];
         let mut disk = vec![0.0; n];
 
-        for placement in self.cluster.placements() {
-            let entry = match self.entries.get(&placement.workload) {
-                Some(e) => e,
-                None => continue,
-            };
-            // Services "use" cores in proportion to their utilization;
-            // batch jobs use everything they hold.
-            let activity = match &entry.last_obs {
-                Some(Observation::Service(o)) => o.utilization.clamp(0.0, 1.0),
-                _ => 1.0,
-            };
-            for node in placement.active_nodes(self.now) {
-                let server = self.cluster.server(node.server);
-                let total_cores = server.total_cores() as f64;
-                cpu[node.server.0] += node.resources.cores as f64 * activity / total_cores;
-                memory[node.server.0] += node.resources.memory_gb / server.total_memory_gb();
+        // Servers in id order, then each server's tenants in index
+        // order: a fixed summation order, so identical runs sample
+        // bit-identical utilization.
+        for server in self.cluster.servers() {
+            let sid = server.id();
+            let total_cores = server.total_cores() as f64;
+            for &id in self.cluster.workloads_on(sid) {
+                let Some(entry) = self.entries.get(&id) else {
+                    continue;
+                };
+                let node = self
+                    .cluster
+                    .placement(id)
+                    .and_then(|p| p.node_on(sid))
+                    .expect("slice exists");
+                if !node.is_active(self.now) {
+                    continue;
+                }
+                // Services "use" cores in proportion to their
+                // utilization; batch jobs use everything they hold.
+                let activity = match &entry.last_obs {
+                    Some(Observation::Service(o)) => o.utilization.clamp(0.0, 1.0),
+                    _ => 1.0,
+                };
                 let share = node.resources.cores as f64 / total_cores;
-                disk[node.server.0] += entry.interference().caused().get(SharedResource::DiskIo)
+                cpu[sid.0] += node.resources.cores as f64 * activity / total_cores;
+                memory[sid.0] += node.resources.memory_gb / server.total_memory_gb();
+                disk[sid.0] += entry.interference().caused().get(SharedResource::DiskIo)
                     / PressureVector::MAX
                     * share
                     * activity;
@@ -1514,7 +1596,7 @@ mod tests {
     use super::*;
     use crate::cluster::ClusterSpec;
     use quasar_workloads::generate::Generator;
-    use quasar_workloads::{LoadPattern, PlatformCatalog, Priority};
+    use quasar_workloads::{LoadPattern, PlatformCatalog, Priority, ServiceObservation};
 
     fn world() -> World {
         let spec = ClusterSpec::uniform(PlatformCatalog::local(), 2);
@@ -1781,6 +1863,213 @@ mod tests {
         assert!(w.server_pressure(sid, None).total() > 0.0);
         w.advance(5.0);
         assert!(w.server_pressure(sid, None).is_zero());
+    }
+
+    /// The two largest servers of a world.
+    fn two_big_servers(world: &World) -> (ServerId, ServerId) {
+        let mut servers: Vec<&Server> = world.servers().iter().collect();
+        servers.sort_by_key(|s| std::cmp::Reverse(s.total_cores()));
+        (servers[0].id(), servers[1].id())
+    }
+
+    /// What one tick must observe for service `id`, rebuilt the slow
+    /// way: allocations from `server_pressure` per active node, then
+    /// `observe` plus the partitioning adjustments (noise is zero). Also
+    /// returns the QoS `interference` evidence: the mean normalized
+    /// `server_pressure` over the active nodes.
+    fn reference_tick(w: &World, id: WorkloadId) -> (ServiceObservation, f64) {
+        let placement = w.placement(id).expect("placed");
+        let (incoming, iso) = if placement.isolated {
+            (ISOLATION_PRESSURE_FACTOR, ISOLATION_OVERHEAD_FACTOR)
+        } else {
+            (1.0, 1.0)
+        };
+        let mut allocs = Vec::new();
+        let mut pressure = 0.0;
+        for node in placement.active_nodes(w.now()) {
+            let seen = w.server_pressure(node.server, Some(id));
+            pressure += QosEvidence::normalize_pressure(&seen);
+            allocs.push((
+                w.platform_of(node.server),
+                node.resources,
+                seen.scaled(incoming),
+            ));
+        }
+        let interference = pressure / allocs.len() as f64;
+        let entry = &w.entries[&id];
+        let PerfModel::Service(model) = entry.workload.model() else {
+            panic!("not a service");
+        };
+        let offered = entry.workload.offered_qps(w.now());
+        let mut obs = model.observe(offered, &allocs);
+        if iso < 1.0 {
+            obs.utilization = (obs.utilization / iso).min(1.0);
+            obs.achieved_qps = obs
+                .achieved_qps
+                .min(offered.min(model.total_capacity(&allocs) * iso));
+            obs.mean_latency_us /= iso;
+            obs.p99_latency_us /= iso;
+        }
+        (obs, interference)
+    }
+
+    fn obs_bits(o: &ServiceObservation) -> [u64; 5] {
+        [
+            o.offered_qps.to_bits(),
+            o.achieved_qps.to_bits(),
+            o.mean_latency_us.to_bits(),
+            o.p99_latency_us.to_bits(),
+            o.utilization.to_bits(),
+        ]
+    }
+
+    /// The per-tick pressure pass is the same arithmetic as
+    /// `server_pressure`: on a scene with co-located services, a
+    /// partitioned placement, a not-yet-active slice, a live injection
+    /// and a two-node service, every service's observation and QoS
+    /// interference evidence match the slow per-node recomputation bit
+    /// for bit.
+    #[test]
+    fn tick_pressure_pass_matches_server_pressure_bit_for_bit() {
+        let mut w = world();
+        let (a, b) = two_big_servers(&w);
+        let mut generator = Generator::new(PlatformCatalog::local(), 17);
+        let slice = NodeResources::new(2, 4.0);
+        let mut services = Vec::new();
+        for (i, qps) in [2.0e6, 30_000.0, 50_000.0, 1.0e6].into_iter().enumerate() {
+            let svc = generator.service(
+                WorkloadClass::Memcached,
+                format!("mc{i}"),
+                6.0,
+                LoadPattern::Flat { qps },
+                Priority::Guaranteed,
+            );
+            services.push(svc.id());
+            w.submit(svc);
+        }
+        for &id in &services[..3] {
+            w.place(
+                id,
+                vec![NodeAlloc::immediate(a, slice)],
+                FrameworkParams::default(),
+            )
+            .unwrap();
+        }
+        w.set_isolation(services[2], true).unwrap();
+        w.place(
+            services[3],
+            vec![
+                NodeAlloc::immediate(a, slice),
+                NodeAlloc::immediate(b, slice),
+            ],
+            FrameworkParams::default(),
+        )
+        .unwrap();
+        let mut batch = |name: &str| {
+            generator.analytics_job(
+                WorkloadClass::Hadoop,
+                name,
+                quasar_workloads::Dataset::new("d", 10.0, 1.0),
+                2,
+                600.0,
+                Priority::Guaranteed,
+            )
+        };
+        let (active, late) = (batch("active"), batch("late"));
+        let (active_id, late_id) = (active.id(), late.id());
+        w.submit(active);
+        w.submit(late);
+        w.place(
+            active_id,
+            vec![NodeAlloc::immediate(b, slice)],
+            FrameworkParams::default(),
+        )
+        .unwrap();
+        let mut delayed = NodeAlloc::immediate(b, slice);
+        delayed.active_after = 1.0e6;
+        w.place(late_id, vec![delayed], FrameworkParams::default())
+            .unwrap();
+        w.inject_pressure(b, PressureVector::uniform(30.0), 100.0);
+
+        w.advance(5.0);
+
+        assert!(w.server_pressure(a, Some(services[3])).total() > 0.0);
+        assert!(w.server_pressure(b, Some(services[3])).total() > 0.0);
+        let open: HashMap<WorkloadId, f64> = w
+            .qos
+            .export_open()
+            .into_iter()
+            .map(|(id, ep)| (id, ep.interference_sum))
+            .collect();
+        for &id in &services {
+            let (expected, interference) = reference_tick(&w, id);
+            let Some(Observation::Service(got)) = w.observation(id) else {
+                panic!("service {id} has no observation");
+            };
+            assert_eq!(obs_bits(&got), obs_bits(&expected), "observation of {id}");
+            let pos = w.tick_running.iter().position(|&r| r == id).unwrap();
+            assert_eq!(
+                w.tick_interference[pos].to_bits(),
+                interference.to_bits(),
+                "interference evidence of {id}"
+            );
+            if let Some(sum) = open.get(&id) {
+                assert_eq!(sum.to_bits(), interference.to_bits(), "ledger of {id}");
+            }
+        }
+        assert!(
+            open.contains_key(&services[0]),
+            "the overloaded service must open a violation episode"
+        );
+    }
+
+    /// Utilization samples add each server's tenants in a fixed order,
+    /// so two identically built worlds record bit-identical heatmaps
+    /// (placement map iteration order differs between map instances).
+    #[test]
+    fn utilization_samples_are_bit_identical_across_worlds() {
+        let build = || {
+            let mut w = world();
+            let (a, b) = two_big_servers(&w);
+            let mut generator = Generator::new(PlatformCatalog::local(), 23);
+            for i in 0..6u32 {
+                let svc = generator.service(
+                    WorkloadClass::Memcached,
+                    format!("mc{i}"),
+                    2.0,
+                    LoadPattern::Flat {
+                        qps: 7_000.0 * (i + 1) as f64,
+                    },
+                    Priority::Guaranteed,
+                );
+                let id = svc.id();
+                w.submit(svc);
+                let res = NodeResources::new(1 + i % 3, 2.0);
+                let nodes = if i % 2 == 0 {
+                    vec![NodeAlloc::immediate(a, res)]
+                } else {
+                    vec![NodeAlloc::immediate(a, res), NodeAlloc::immediate(b, res)]
+                };
+                w.place(id, nodes, FrameworkParams::default()).unwrap();
+            }
+            for _ in 0..30 {
+                w.advance(5.0);
+            }
+            w
+        };
+        let bits = |w: &World| -> Vec<u64> {
+            w.metrics()
+                .samples()
+                .iter()
+                .flat_map(|s| s.cpu.iter().chain(&s.memory).chain(&s.disk))
+                .map(|v| v.to_bits())
+                .collect()
+        };
+        let first = build();
+        assert!(!first.metrics().samples().is_empty());
+        for _ in 0..4 {
+            assert_eq!(bits(&build()), bits(&first));
+        }
     }
 
     #[test]

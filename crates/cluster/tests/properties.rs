@@ -86,7 +86,7 @@ fn check_ledger(cluster: &ClusterState) {
         assert!(server.used_cores() <= server.total_cores());
         assert!(server.used_memory_gb() <= server.total_memory_gb() + 1e-6);
         // The tenant index must agree with the placements.
-        let mut indexed = cluster.workloads_on(server.id());
+        let mut indexed = cluster.workloads_on(server.id()).to_vec();
         indexed.sort();
         indexed.dedup();
         let mut actual: Vec<_> = cluster

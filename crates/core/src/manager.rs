@@ -246,7 +246,7 @@ impl QuasarManager {
     ) -> PressureVector {
         let total_cores = world.server(server).total_cores() as f64;
         let mut pressure = PressureVector::zero();
-        for id in world.workloads_on(server) {
+        for &id in world.workloads_on(server) {
             if Some(id) == exclude {
                 continue;
             }
@@ -265,8 +265,16 @@ impl QuasarManager {
         pressure
     }
 
-    /// Builds the candidate-server list for scheduling workload `for_id`.
-    fn candidates(&self, world: &World, for_id: WorkloadId) -> Vec<CandidateServer> {
+    /// Builds the candidate-server list for scheduling workload `for_id`
+    /// over the servers `keep` accepts, in server order. Filtering
+    /// before scoring skips the per-server pressure estimate for servers
+    /// that cannot take the work.
+    fn candidates(
+        &self,
+        world: &World,
+        for_id: WorkloadId,
+        keep: impl Fn(&Server) -> bool,
+    ) -> Vec<CandidateServer> {
         let caused = self
             .states
             .get(&for_id)
@@ -275,6 +283,7 @@ impl QuasarManager {
         world
             .servers()
             .iter()
+            .filter(|server| keep(server))
             .map(|server| self.candidate_for(world, server, for_id, &caused))
             .collect()
     }
@@ -298,7 +307,7 @@ impl QuasarManager {
         // footprint before sizing.
         let added = caused.scaled(0.5);
         let mut victim_factor = 1.0_f64;
-        for tenant in world.workloads_on(sid) {
+        for &tenant in world.workloads_on(sid) {
             if tenant == for_id {
                 continue;
             }
@@ -348,7 +357,7 @@ impl QuasarManager {
             &axes,
             &class,
             &target,
-            &self.candidates(world, id),
+            &self.candidates(world, id, |_| true),
             budget,
         );
 
@@ -364,7 +373,7 @@ impl QuasarManager {
                 &axes,
                 &class,
                 &target,
-                &self.candidates(world, id),
+                &self.candidates(world, id, |_| true),
                 budget,
             );
             attempts += 1;
@@ -447,7 +456,8 @@ impl QuasarManager {
         };
         let victims: Vec<WorkloadId> = world
             .workloads_on(sid)
-            .into_iter()
+            .iter()
+            .copied()
             .filter(|&w| world.spec(w).is_best_effort())
             .collect();
         for v in victims {
@@ -732,11 +742,9 @@ impl QuasarManager {
             if added >= 3 {
                 return;
             }
-            let candidates: Vec<CandidateServer> = self
-                .candidates(world, id)
-                .into_iter()
-                .filter(|c| !used.contains(&c.server) && c.free_cores >= 2)
-                .collect();
+            let candidates = self.candidates(world, id, |s| {
+                !used.contains(&s.id().0) && s.free_cores() >= 2
+            });
             let best = candidates.iter().max_by(|a, b| {
                 let qa = est.hetero_factor(a.platform_index)
                     * est.penalty(&a.pressure)

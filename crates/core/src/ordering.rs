@@ -47,7 +47,7 @@ mod tests {
 
     #[test]
     fn non_finite_never_wins_a_quality_ranking() {
-        let mut xs = vec![f64::NAN, 3.0, f64::INFINITY, -1.0, f64::NEG_INFINITY];
+        let mut xs = [f64::NAN, 3.0, f64::INFINITY, -1.0, f64::NEG_INFINITY];
         xs.sort_by(|a, b| desirability(*b).total_cmp(&desirability(*a)));
         assert_eq!(xs[0], 3.0);
         assert_eq!(xs[1], -1.0);
@@ -72,8 +72,8 @@ mod tests {
 
     #[test]
     fn total_cmp_is_deterministic_with_nan() {
-        let mut a = vec![2.0, f64::NAN, 1.0];
-        let mut b = vec![f64::NAN, 1.0, 2.0];
+        let mut a = [2.0, f64::NAN, 1.0];
+        let mut b = [f64::NAN, 1.0, 2.0];
         a.sort_by(f64::total_cmp);
         b.sort_by(f64::total_cmp);
         assert_eq!(a[0], 1.0);

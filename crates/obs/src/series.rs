@@ -95,10 +95,13 @@ impl Series {
 /// The store is a plain owned value — each `World` (and therefore each
 /// shard cell) holds its own, and cross-cell views are built by merging
 /// snapshots — so no cross-thread interleaving can ever touch ordering.
+/// Series are nested by name, then by entity: lookups borrow the name,
+/// so recording into an existing series allocates nothing, and nested
+/// iteration keeps the `(name, entity)` snapshot order.
 #[derive(Debug, Clone)]
 pub struct SeriesStore {
     capacity: usize,
-    series: BTreeMap<(String, u64), Series>,
+    series: BTreeMap<String, BTreeMap<u64, Series>>,
 }
 
 impl SeriesStore {
@@ -118,20 +121,25 @@ impl SeriesStore {
     /// Appends a point to the series keyed `(name, entity)`, creating
     /// the series on first use.
     pub fn record(&mut self, name: &str, entity: u64, t_s: f64, v: f64) {
+        if !self.series.contains_key(name) {
+            self.series.insert(name.to_string(), BTreeMap::new());
+        }
         self.series
-            .entry((name.to_string(), entity))
+            .get_mut(name)
+            .expect("inserted above")
+            .entry(entity)
             .or_insert_with(|| Series::new(self.capacity))
             .push(t_s, v);
     }
 
     /// Looks a series up by key.
     pub fn get(&self, name: &str, entity: u64) -> Option<&Series> {
-        self.series.get(&(name.to_string(), entity))
+        self.series.get(name)?.get(&entity)
     }
 
     /// Number of distinct `(name, entity)` series.
     pub fn len(&self) -> usize {
-        self.series.len()
+        self.series.values().map(BTreeMap::len).sum()
     }
 
     /// Whether no series exist.
@@ -145,10 +153,12 @@ impl SeriesStore {
             entries: self
                 .series
                 .iter()
-                .map(|((name, entity), s)| SeriesEntry {
-                    name: name.clone(),
-                    entity: *entity,
-                    series: s.clone(),
+                .flat_map(|(name, by_entity)| {
+                    by_entity.iter().map(|(entity, s)| SeriesEntry {
+                        name: name.clone(),
+                        entity: *entity,
+                        series: s.clone(),
+                    })
                 })
                 .collect(),
         }

@@ -173,6 +173,19 @@ impl ServiceModel {
         pressure: &PressureVector,
         nodes_in_service: usize,
     ) -> f64 {
+        let penalty = self.interference.penalty(pressure);
+        self.capacity_at(platform, res, penalty, nodes_in_service)
+    }
+
+    /// [`node_capacity`](Self::node_capacity) with the interference
+    /// penalty already evaluated.
+    fn capacity_at(
+        &self,
+        platform: &Platform,
+        res: NodeResources,
+        penalty: f64,
+        nodes_in_service: usize,
+    ) -> f64 {
         let speed = platform_speed(&self.latent, platform);
         let core_factor = (res.cores as f64).powf(self.alpha);
 
@@ -191,7 +204,6 @@ impl ServiceModel {
             (res.memory_gb / hot_gb).powf(self.miss_beta).max(0.15)
         };
 
-        let penalty = self.interference.penalty(pressure);
         self.base_qps_per_core * speed * core_factor * mem_factor * penalty
             / self.dataset.complexity()
     }
@@ -214,22 +226,25 @@ impl ServiceModel {
         offered_qps: f64,
         allocs: &[(&Platform, NodeResources, PressureVector)],
     ) -> ServiceObservation {
-        let capacity = self.total_capacity(allocs);
+        // One pass gives the capacity and, since effective base service
+        // time rises with interference and slower platforms, the
+        // capacity-weighted slowdown. The capacity sum starts at -0.0 as
+        // `Iterator::sum` does, so it matches `total_capacity` bit for
+        // bit.
+        let n = allocs.len();
+        let mut capacity = -0.0;
+        let mut weighted_slow = 0.0;
+        for (p, r, pr) in allocs {
+            let penalty = self.interference.penalty(pr);
+            let cap = self.capacity_at(p, *r, penalty, n);
+            capacity += cap;
+            weighted_slow += cap * (1.0 / penalty.max(0.05));
+        }
         if capacity <= 0.0 {
             return ServiceObservation::starved(offered_qps);
         }
         let rho = (offered_qps / capacity).max(0.0);
         let achieved = offered_qps.min(capacity);
-
-        // Effective base service time rises with interference and slower
-        // platforms: use the capacity-weighted average penalty.
-        let n = allocs.len();
-        let mut weighted_slow = 0.0;
-        for (p, r, pr) in allocs {
-            let cap = self.node_capacity(p, *r, pr, n);
-            let slow = 1.0 / self.interference.penalty(pr).max(0.05);
-            weighted_slow += cap * slow;
-        }
         let slow_factor = (weighted_slow / capacity).max(1.0);
         let base = self.service_time_us * self.dataset.complexity().sqrt() * slow_factor;
 
