@@ -190,10 +190,9 @@ fn profile_and_classify(c: &mut Criterion) {
     });
 }
 
-fn classification_parallelism(c: &mut Criterion) {
-    // The tentpole comparison: one full four-way classification, serial
-    // vs fanned out over the deterministic worker pool. Profiling is done
-    // once outside the loop so the benchmark isolates the CF math.
+fn classification(c: &mut Criterion) {
+    // One full four-way classification. Profiling is done once outside
+    // the loop so the benchmark isolates the CF math.
     let history = local_history();
     let axes = history.axes().clone();
     let catalog = PlatformCatalog::local();
@@ -216,17 +215,10 @@ fn classification_parallelism(c: &mut Criterion) {
     sim.run_until(5.0);
     let mut profiler = Profiler::new(2, 1);
     let data = profiler.profile(sim.world_mut(), &axes, id);
-    for threads in [1usize, 4] {
-        c.bench_function(&format!("classify_hadoop_threads_{threads}"), |b| {
-            // A fresh classifier per iteration: its row cache starts cold,
-            // so the benchmark measures the CF math rather than memo hits.
-            b.iter_batched(
-                || Classifier::new().with_threads(threads),
-                |classifier| black_box(classifier.classify(history, &data)),
-                BatchSize::SmallInput,
-            )
-        });
-    }
+    let classifier = Classifier::new();
+    c.bench_function("classify_hadoop", |b| {
+        b.iter(|| black_box(classifier.classify(history, &data)))
+    });
 }
 
 fn pool_fan_out(c: &mut Criterion) {
@@ -316,6 +308,6 @@ criterion_group! {
     targets = svd_of_history_sized_matrix, svd_kernel_vs_reference, sgd_kernel_vs_reference,
         rotation_blocked_vs_scalar, scratch_vs_fresh_svd, scratch_vs_fresh_train,
         pq_reconstruction, profile_and_classify,
-        classification_parallelism, pool_fan_out, greedy_planning, simulation_tick
+        classification, pool_fan_out, greedy_planning, simulation_tick
 }
 criterion_main!(micro);

@@ -1,9 +1,6 @@
 //! Row-major dense matrices.
 
 use std::fmt;
-use std::sync::OnceLock;
-
-use crate::fingerprint::Fingerprint;
 
 /// A row-major dense matrix of `f64`.
 ///
@@ -21,22 +18,11 @@ use crate::fingerprint::Fingerprint;
 /// assert_eq!(m.get(0, 1), 5.0);
 /// assert_eq!(m.transpose().get(1, 0), 5.0);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DenseMatrix {
     rows: usize,
     cols: usize,
     data: Vec<f64>,
-    /// Lazily-computed content fingerprint (see [`DenseMatrix::fingerprint`]),
-    /// reset by every mutation so it can never go stale.
-    fp: OnceLock<(u64, u64)>,
-}
-
-// Manual impl: the cached fingerprint is derived state and must not
-// participate in equality (a hashed and an unhashed copy are equal).
-impl PartialEq for DenseMatrix {
-    fn eq(&self, other: &DenseMatrix) -> bool {
-        self.rows == other.rows && self.cols == other.cols && self.data == other.data
-    }
 }
 
 impl DenseMatrix {
@@ -51,7 +37,6 @@ impl DenseMatrix {
             rows,
             cols,
             data: vec![0.0; rows * cols],
-            fp: OnceLock::new(),
         }
     }
 
@@ -63,12 +48,7 @@ impl DenseMatrix {
     pub fn from_vec(rows: usize, cols: usize, data: Vec<f64>) -> DenseMatrix {
         assert!(rows > 0 && cols > 0, "matrix dimensions must be non-zero");
         assert_eq!(data.len(), rows * cols, "data length must match shape");
-        DenseMatrix {
-            rows,
-            cols,
-            data,
-            fp: OnceLock::new(),
-        }
+        DenseMatrix { rows, cols, data }
     }
 
     /// Creates a matrix by evaluating `f(row, col)` in row-major order.
@@ -121,26 +101,6 @@ impl DenseMatrix {
     pub fn set(&mut self, row: usize, col: usize, value: f64) {
         assert!(row < self.rows && col < self.cols, "index out of bounds");
         self.data[row * self.cols + col] = value;
-        self.fp = OnceLock::new();
-    }
-
-    /// The matrix's cached 128-bit content fingerprint, as two 64-bit
-    /// digests over `(rows, cols, data)`.
-    ///
-    /// Computed on first call (O(rows × cols)) and memoized; any
-    /// mutation resets the memo, so repeated lookups against an
-    /// unchanged matrix — the row-reconstruction cache's access pattern
-    /// — cost an atomic load instead of a full rehash.
-    pub fn fingerprint(&self) -> (u64, u64) {
-        *self.fp.get_or_init(|| {
-            let mut fp = Fingerprint::new();
-            fp.word(self.rows as u64);
-            fp.word(self.cols as u64);
-            for &v in &self.data {
-                fp.float(v);
-            }
-            fp.digests()
-        })
     }
 
     /// A view of row `row` as a slice.
@@ -151,22 +111,16 @@ impl DenseMatrix {
 
     /// A mutable view of row `row` as a slice.
     ///
-    /// Invalidates the cached [`DenseMatrix::fingerprint`], like any
-    /// other mutation.
-    ///
     /// # Panics
     ///
     /// Panics if `row` is out of bounds.
     pub fn row_mut(&mut self, row: usize) -> &mut [f64] {
         assert!(row < self.rows, "row out of bounds");
-        self.fp = OnceLock::new();
         &mut self.data[row * self.cols..(row + 1) * self.cols]
     }
 
-    /// The underlying row-major data, mutably. Invalidates the cached
-    /// [`DenseMatrix::fingerprint`].
+    /// The underlying row-major data, mutably.
     pub fn as_mut_slice(&mut self) -> &mut [f64] {
-        self.fp = OnceLock::new();
         &mut self.data
     }
 
@@ -312,20 +266,6 @@ mod tests {
     fn col_means_are_correct() {
         let m = DenseMatrix::from_vec(2, 2, vec![1.0, 10.0, 3.0, 20.0]);
         assert_eq!(m.col_means(), vec![2.0, 15.0]);
-    }
-
-    #[test]
-    fn fingerprint_is_stable_and_invalidated_by_mutation() {
-        let mut m = DenseMatrix::from_fn(3, 4, |r, c| (r * 4 + c) as f64);
-        let before = m.fingerprint();
-        assert_eq!(m.fingerprint(), before, "repeated reads are memoized");
-        assert_eq!(m.clone().fingerprint(), before, "clones hash identically");
-        m.set(2, 1, 99.0);
-        assert_ne!(m.fingerprint(), before, "mutation must reset the memo");
-        // Shape participates: same data length, different shape.
-        let a = DenseMatrix::from_vec(2, 3, vec![1.0; 6]);
-        let b = DenseMatrix::from_vec(3, 2, vec![1.0; 6]);
-        assert_ne!(a.fingerprint(), b.fingerprint());
     }
 
     #[test]

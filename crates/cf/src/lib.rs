@@ -57,7 +57,6 @@
 #![warn(missing_docs)]
 
 mod dense;
-mod fingerprint;
 mod foldin;
 mod pq;
 mod reconstruct;

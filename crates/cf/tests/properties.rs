@@ -272,7 +272,8 @@ proptest! {
 
     /// End-to-end: a `reconstruct_row` on a thread whose default arena
     /// has already served unrelated reconstructions returns exactly the
-    /// bits a pristine thread (fresh arena, fresh memo) returns.
+    /// bits a pristine thread (fresh arena) returns, or the same error
+    /// when training diverges.
     #[test]
     fn reconstruct_row_bits_do_not_depend_on_arena_state(
         warm_h in dense_matrix(6),
@@ -289,19 +290,19 @@ proptest! {
         let on_warm_arena = Reconstructor::new()
             .with_config(config)
             .reconstruct_row(&h, &target)
-            .unwrap();
+            .map(|row| bits(&row));
         let on_fresh_thread = std::thread::scope(|scope| {
             scope
                 .spawn(|| {
                     Reconstructor::new()
                         .with_config(config)
                         .reconstruct_row(&h, &target)
-                        .unwrap()
+                        .map(|row| bits(&row))
                 })
                 .join()
                 .unwrap()
         });
-        prop_assert_eq!(bits(&on_warm_arena), bits(&on_fresh_thread));
+        prop_assert_eq!(on_warm_arena, on_fresh_thread);
     }
 
     /// Sparse-matrix bookkeeping: density matches unique cells.

@@ -172,10 +172,11 @@ pub fn parse_event(line: &str) -> io::Result<(f64, JournalEvent)> {
         "node_added" | "node_resized" => {
             let workload = WorkloadId(parse_num(next("workload")?, "workload")?);
             let server = ServerId(parse_num(next("server")?, "server")?);
-            let resources = NodeResources::new(
+            let resources = NodeResources::try_new(
                 parse_num(next("cores")?, "cores")?,
                 parse_bits(next("memory")?)?,
-            );
+            )
+            .map_err(|e| bad(e.to_string()))?;
             if kind == "node_added" {
                 JournalEvent::NodeAdded {
                     workload,
@@ -553,6 +554,18 @@ mod tests {
             let (t2, e2) = parse_event(&line).unwrap();
             assert_eq!(t.to_bits(), t2.to_bits(), "time bits for {line}");
             assert_eq!(e, e2, "event for {line}");
+        }
+    }
+
+    #[test]
+    fn invalid_node_resources_are_invalid_data_not_a_panic() {
+        for line in [
+            "0 node_added 1 2 0 0",
+            "0 node_added 1 2 4 fff8000000000000",
+            "0 node_resized 1 2 4 0",
+        ] {
+            let err = parse_event(line).expect_err(line);
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{line}");
         }
     }
 

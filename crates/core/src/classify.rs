@@ -1,4 +1,4 @@
-//! The four parallel classifications (and the exhaustive alternative).
+//! The four classifications (and the exhaustive alternative).
 //!
 //! Each classification folds the workload's sparse profiling row into the
 //! dense offline history of its goal kind (paper §3.2): the history is
@@ -78,49 +78,17 @@ impl Classification {
     }
 }
 
-/// The output of one axis task, tagged so results can be reassembled
-/// in a fixed order regardless of which worker finished first.
-enum AxisOut {
-    ScaleUp(Vec<f64>),
-    Hetero(Vec<f64>),
-    ScaleOut(Option<Vec<f64>>),
-    Params(Option<Vec<f64>>),
-    Pressure(PressureVector, PressureVector),
-}
-
-/// Runs the four parallel classifications by folding the profiling row
-/// into each axis's [`FoldIn`] model, fitted once per goal kind when the
-/// history is bootstrapped.
-#[derive(Debug, Clone)]
-pub struct Classifier {
-    threads: usize,
-}
-
-impl Default for Classifier {
-    fn default() -> Classifier {
-        Classifier { threads: 1 }
-    }
-}
+/// Runs the four classifications by folding the profiling row into each
+/// axis's [`FoldIn`] model, fitted once per goal kind when the history is
+/// bootstrapped. Each axis is a small ridge solve, so the axes run one
+/// after another on the calling thread.
+#[derive(Debug, Clone, Default)]
+pub struct Classifier;
 
 impl Classifier {
-    /// A classifier running its axis classifications serially.
+    /// A classifier.
     pub fn new() -> Classifier {
-        Classifier::default()
-    }
-
-    /// Fans the per-axis classifications out over up to `threads` OS
-    /// threads (paper §3.2 runs the four classifications concurrently).
-    /// Every axis is a pure function of `(model, data)`, so the result
-    /// is bit-identical to serial execution; only the wall-clock time
-    /// changes. `threads <= 1` keeps the serial path.
-    pub fn with_threads(mut self, threads: usize) -> Classifier {
-        self.threads = threads.max(1);
-        self
-    }
-
-    /// The configured fan-out width.
-    pub fn threads(&self) -> usize {
-        self.threads
+        Classifier
     }
 
     /// Classifies one workload from its profiling signal against the
@@ -129,14 +97,10 @@ impl Classifier {
         self.classify_timed(history, data).0
     }
 
-    /// [`Classifier::classify`] plus the wall-clock decision time of the
-    /// *parallel* scheme: the four classifications run concurrently
-    /// (paper §3.2), so the decision latency is the maximum over the
-    /// per-axis fold-in times, returned in microseconds.
-    ///
-    /// The reported decision time is always the max over per-axis times
-    /// (the parallel scheme's latency model), independent of whether
-    /// this process actually ran the axes on one thread or several.
+    /// [`Classifier::classify`] plus the decision time of the paper's
+    /// parallel scheme: the four classifications are independent (§3.2),
+    /// so the decision latency is the maximum over the per-axis fold-in
+    /// times, returned in microseconds. The axes themselves run serially.
     pub fn classify_timed(
         &self,
         history: &HistorySet,
@@ -148,76 +112,40 @@ impl Classifier {
 
         // Each axis runs under a `timed` span: the span carries the
         // per-axis wall time into traces, and the returned microseconds
-        // feed the registry histograms and the decision-latency model
-        // below (no ad-hoc `Instant::now()` bookkeeping).
-        type AxisTask<'a> = Box<dyn FnOnce() -> (AxisOut, f64) + Send + 'a>;
-        let tasks: Vec<AxisTask<'_>> = vec![
-            Box::new(move || {
-                timed("core.classify.scale_up", || {
-                    AxisOut::ScaleUp(speed_axis(kind, &m.scale_up, &data.scale_up))
-                })
-            }),
-            Box::new(move || {
-                timed("core.classify.hetero", || {
-                    AxisOut::Hetero(speed_axis(kind, &m.hetero, &data.hetero))
-                })
-            }),
-            Box::new(move || {
-                timed("core.classify.scale_out", || {
-                    AxisOut::ScaleOut(
-                        m.scale_out
-                            .as_ref()
-                            .filter(|_| !data.scale_out.is_empty())
-                            .map(|model| speed_axis(kind, model, &data.scale_out)),
-                    )
-                })
-            }),
-            Box::new(move || {
-                timed("core.classify.params", || {
-                    AxisOut::Params(
-                        m.params
-                            .as_ref()
-                            .filter(|_| !data.params.is_empty())
-                            .map(|model| speed_axis(kind, model, &data.params)),
-                    )
-                })
-            }),
-            Box::new(move || {
-                timed("core.classify.interference", || {
-                    let tolerated = pressure_axis(&m.tolerated, &data.tolerated);
-                    let caused = pressure_axis(&m.caused, &data.caused);
-                    AxisOut::Pressure(tolerated, caused)
-                })
-            }),
-        ];
+        // feed the registry histograms and the decision-latency model.
+        let (scale_up_speed, up_us) = timed("core.classify.scale_up", || {
+            speed_axis(kind, &m.scale_up, &data.scale_up)
+        });
+        let (hetero_speed, hetero_us) = timed("core.classify.hetero", || {
+            speed_axis(kind, &m.hetero, &data.hetero)
+        });
+        let (scale_out_speed, out_us) = timed("core.classify.scale_out", || {
+            m.scale_out
+                .as_ref()
+                .filter(|_| !data.scale_out.is_empty())
+                .map(|model| speed_axis(kind, model, &data.scale_out))
+        });
+        let (params_speed, params_us) = timed("core.classify.params", || {
+            m.params
+                .as_ref()
+                .filter(|_| !data.params.is_empty())
+                .map(|model| speed_axis(kind, model, &data.params))
+        });
+        let ((tolerated, caused), pressure_us) = timed("core.classify.interference", || {
+            (
+                pressure_axis(&m.tolerated, &data.tolerated),
+                pressure_axis(&m.caused, &data.caused),
+            )
+        });
 
-        let results = crate::par::par_invoke(self.threads, tasks);
-        let wall_us = results.iter().map(|(_, us)| *us).fold(0.0, f64::max);
+        let axis_us = [up_us, hetero_us, out_us, params_us, pressure_us];
+        let wall_us = axis_us.iter().copied().fold(0.0, f64::max);
         let metrics = classify_metrics();
         metrics.classifications.inc();
-        for (_, us) in &results {
-            metrics.axis_us.record(*us);
+        for us in axis_us {
+            metrics.axis_us.record(us);
         }
         metrics.decision_us.record(wall_us);
-
-        let mut scale_up_speed = Vec::new();
-        let mut hetero_speed = Vec::new();
-        let mut scale_out_speed = None;
-        let mut params_speed = None;
-        let mut tolerated = PressureVector::zero();
-        let mut caused = PressureVector::zero();
-        for (out, _) in results {
-            match out {
-                AxisOut::ScaleUp(v) => scale_up_speed = v,
-                AxisOut::Hetero(v) => hetero_speed = v,
-                AxisOut::ScaleOut(v) => scale_out_speed = v,
-                AxisOut::Params(v) => params_speed = v,
-                AxisOut::Pressure(t, c) => {
-                    tolerated = t;
-                    caused = c;
-                }
-            }
-        }
 
         (
             Classification {
@@ -412,51 +340,6 @@ mod tests {
             mean_err < 0.30,
             "mean heterogeneity error {mean_err:.2} too high; errors {errors:?}"
         );
-    }
-
-    /// The tentpole guarantee: fanning the axis classifications out over
-    /// worker threads produces *bit-identical* output to the serial path
-    /// on the same seed, for every thread count.
-    #[test]
-    fn parallel_classification_is_bit_identical_to_serial() {
-        let catalog = PlatformCatalog::local();
-        let history = HistorySet::bootstrap(&catalog, 8, 41);
-        let axes = history.axes().clone();
-
-        let mut sim = Simulation::new(
-            ClusterSpec::uniform(catalog.clone(), 1),
-            Box::new(NullManager),
-            SimConfig::default(),
-        );
-        let mut generator = Generator::new(catalog.clone(), 7);
-        let job = generator.analytics_job(
-            WorkloadClass::Hadoop,
-            "det-probe",
-            Dataset::new("d", 12.0, 1.0),
-            2,
-            600.0,
-            Priority::Guaranteed,
-        );
-        let id = job.id();
-        sim.submit_at(job, 0.0);
-        sim.run_until(5.0);
-        let data = Profiler::new(2, 9).profile(sim.world_mut(), &axes, id);
-
-        let serial = Classifier::new().with_threads(1).classify(&history, &data);
-        for threads in [2, 4, 8] {
-            let parallel = Classifier::new()
-                .with_threads(threads)
-                .classify(&history, &data);
-            assert_eq!(
-                serial, parallel,
-                "classification diverged at {threads} threads"
-            );
-            // Byte-level check on the float vectors, not just PartialEq
-            // (which would conflate -0.0 with 0.0 and panic on NaN).
-            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
-            assert_eq!(bits(&serial.scale_up_speed), bits(&parallel.scale_up_speed));
-            assert_eq!(bits(&serial.hetero_speed), bits(&parallel.hetero_speed));
-        }
     }
 
     #[test]

@@ -41,10 +41,9 @@ pub struct QuasarConfig {
     pub prediction_lead_s: f64,
     /// Seed for profiling-configuration randomization.
     pub seed: u64,
-    /// Worker threads for the per-axis classification fan-out
-    /// ([`crate::Classifier::with_threads`]). Classification is a pure
-    /// function of its inputs, so any value produces bit-identical
-    /// results; 1 (the default) keeps the serial path.
+    /// Ignored: classification runs its axes serially. Kept because the
+    /// admission benchmark (`perfbench/`) still sets it; removed at the
+    /// next change to that benchmark.
     pub threads: usize,
 }
 

@@ -131,7 +131,7 @@ impl QuasarManager {
         let config = config.validated();
         QuasarManager {
             profiler: Profiler::new(config.profiling_entries, config.seed ^ 0xF00D),
-            classifier: Classifier::new().with_threads(config.threads),
+            classifier: Classifier::new(),
             scheduler: GreedyScheduler::new(config.max_nodes),
             states: HashMap::new(),
             pending: VecDeque::new(),

@@ -223,17 +223,6 @@ where
     })
 }
 
-/// Runs a fixed set of heterogeneous tasks on up to `threads` workers,
-/// returning their outputs in task order. Used to fan out the per-axis
-/// CF classifications, which are a handful of differently-shaped jobs
-/// rather than a uniform item list.
-pub fn par_invoke<'a, U>(threads: usize, tasks: Vec<Box<dyn FnOnce() -> U + Send + 'a>>) -> Vec<U>
-where
-    U: Send + 'a,
-{
-    par_map(threads, tasks, |_, task| task())
-}
-
 /// The persistent pool behind [`par_map`].
 ///
 /// Jobs are queued under one mutex; workers park on `job_ready` while
@@ -531,20 +520,6 @@ mod tests {
         }
         // Outputs are by item index and reflect the in-place update.
         assert_eq!(serial_out[5], serial[5]);
-    }
-
-    #[test]
-    fn invoke_preserves_task_order() {
-        let tasks: Vec<Box<dyn FnOnce() -> usize + Send>> = (0..20usize)
-            .map(|i| {
-                Box::new(move || {
-                    // Stagger so completion order differs from task order.
-                    std::thread::sleep(std::time::Duration::from_micros(((20 - i) * 50) as u64));
-                    i
-                }) as Box<dyn FnOnce() -> usize + Send>
-            })
-            .collect();
-        assert_eq!(par_invoke(4, tasks), (0..20).collect::<Vec<_>>());
     }
 
     #[test]

@@ -233,9 +233,8 @@ fn rotation_bench(reps: usize, len: usize, iters: usize) -> RotationBench {
 /// Measures heap allocations per end-to-end classification decision:
 /// profiles a handful of distinct workloads through the validation
 /// harness, warms the (serial-path) classifier on two of them, then
-/// counts allocations across decisions on the rest. Distinct profiling
-/// rows bust the row memo, so every measured decision runs the full
-/// SVD + SGD pipeline against the warmed thread arena.
+/// counts allocations across decisions on the rest, each a full fold-in
+/// classification against the warmed thread arena.
 fn classify_alloc_bench(tracking: bool) -> ClassifyAllocBench {
     const SEED: u64 = 0xA110C;
     let validator = Validator::new(crate::local_history(), SEED);
@@ -245,7 +244,7 @@ fn classify_alloc_bench(tracking: bool) -> ClassifyAllocBench {
             validator.profile_item(derive_seed(SEED, i as u64), workload, 2)
         })
         .collect();
-    let classifier = Classifier::new().with_threads(1);
+    let classifier = Classifier::new();
     let history = validator.history();
     for data in &datas[..2] {
         black_box(classifier.classify(history, data));

@@ -49,9 +49,9 @@ pub fn mask_live_timings() -> bool {
 }
 
 /// Renders the per-run telemetry summary from the process-global metric
-/// registry: decision-latency percentiles, row-cache effectiveness,
-/// worker-pool utilization, and the logical work counters. Wall-clock
-/// and scheduling-dependent values print `-` under
+/// registry: decision-latency percentiles, worker-pool utilization,
+/// and the logical work counters. Wall-clock and scheduling-dependent
+/// values print `-` under
 /// [`mask_live_timings`], so the summary stays byte-identical across
 /// `--threads` values in the CI smoke; the logical counters (jobs,
 /// classifications, journal events, ticks) are deterministic and always
@@ -64,13 +64,6 @@ pub fn telemetry_summary() -> String {
 
     let decision = reg.histogram_us("quasar.core.classify.decision_us");
     let exhaustive = reg.histogram_us("quasar.core.classify.exhaustive_us");
-    let hits = count("quasar.cf.row_cache.hits");
-    let misses = count("quasar.cf.row_cache.misses");
-    let hit_rate = if hits + misses > 0 {
-        format!("{:.1}%", 100.0 * hits as f64 / (hits + misses) as f64)
-    } else {
-        "n/a".to_string()
-    };
     let job_workers = reg.histogram(
         "quasar.core.par.pool.job_workers",
         &[1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0],
@@ -110,16 +103,6 @@ pub fn telemetry_summary() -> String {
     t.row([
         "exhaustive classify p50 (us, bucketed)".to_string(),
         live(format!("{:.0}", exhaustive.percentile(0.5))),
-    ]);
-    // Hits/misses are scheduling-invariant (per-key once-guard in the
-    // row cache), so they print unmasked; evictions still follow the
-    // actual access interleaving and stay masked.
-    t.row(["row-cache hits".to_string(), hits.to_string()]);
-    t.row(["row-cache misses".to_string(), misses.to_string()]);
-    t.row(["row-cache hit rate".to_string(), hit_rate]);
-    t.row([
-        "row-cache evictions".to_string(),
-        live(count("quasar.cf.row_cache.evictions").to_string()),
     ]);
     t.row([
         "parallel jobs".to_string(),

@@ -36,14 +36,26 @@ impl NodeResources {
     ///
     /// # Panics
     ///
-    /// Panics if `cores` is zero or `memory_gb` is not positive.
+    /// Panics if `cores` is zero or `memory_gb` is not positive; use
+    /// [`NodeResources::try_new`] for a fallible variant.
     pub fn new(cores: u32, memory_gb: f64) -> NodeResources {
-        assert!(cores > 0, "allocations need at least one core");
-        assert!(
-            memory_gb.is_finite() && memory_gb > 0.0,
-            "allocations need positive memory"
-        );
-        NodeResources { cores, memory_gb }
+        NodeResources::try_new(cores, memory_gb).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Creates a per-node resource allocation from untrusted values.
+    ///
+    /// # Errors
+    ///
+    /// Says why when `cores` is zero or `memory_gb` is not finite and
+    /// positive.
+    pub fn try_new(cores: u32, memory_gb: f64) -> Result<NodeResources, &'static str> {
+        if cores == 0 {
+            return Err("allocations need at least one core");
+        }
+        if !(memory_gb.is_finite() && memory_gb > 0.0) {
+            return Err("allocations need positive memory");
+        }
+        Ok(NodeResources { cores, memory_gb })
     }
 
     /// The full resources of a platform.
